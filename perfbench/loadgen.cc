@@ -23,6 +23,10 @@ namespace {
 
 constexpr double kDrainTimeoutS = 5.0;
 constexpr double kSpinWindowS = 0.002;
+// Once this many queries are unanswered the backlog is growing: the rest of
+// the schedule is shed. It sits below the server's default --max_queue
+// (4096), so the server never refuses for overload.
+constexpr std::size_t kMaxOutstanding = 4000;
 // A rung's p99 is the median over this many consecutive windows, so one
 // host stall does not decide it.
 constexpr int kRungWindows = 3;
@@ -238,6 +242,7 @@ PhaseResult LoadGen::Run(const PhaseSpec& spec, const QueryPool& pool) {
       return;
     }
     r.latency_us.push_back((now - p.due) * 1e6);
+    r.late_us.push_back(p.late_us);
   };
 
   auto admin_done = [&](const std::string& reply, double now) {
@@ -272,9 +277,11 @@ PhaseResult LoadGen::Run(const PhaseSpec& spec, const QueryPool& pool) {
   for (;;) {
     double now = Now();
     while (sending && next_due <= now) {
-      if (outstanding >= spec.max_outstanding) {
+      if (outstanding >= kMaxOutstanding) {
+        for (; next_due < end; next_due += rng.Exponential(spec.rate_qps)) {
+          ++r.unsent;
+        }
         sending = false;
-        r.shed = true;
         break;
       }
       const std::size_t key = rng.UniformInt(pool.frames.size());
@@ -283,10 +290,10 @@ PhaseResult LoadGen::Run(const PhaseSpec& spec, const QueryPool& pool) {
       conn.out += pool.frames[key];
       const std::int64_t id = next_id_++;
       StoreId(&conn.out[at], id);
-      conn.inflight.push_back({id, key, next_due, acked});
+      conn.inflight.push_back(
+          {id, key, next_due, (now - next_due) * 1e6, acked});
       ++outstanding;
       ++r.sent;
-      r.late_us.push_back((now - next_due) * 1e6);
       next_due += rng.Exponential(spec.rate_qps);
       if (next_due >= end) sending = false;
     }
@@ -401,7 +408,7 @@ double WindowedQuantile(const std::vector<double>& latency_us, double q,
 }
 
 bool RungPasses(const PhaseResult& r, double slo_us) {
-  if (r.shed || r.failed() > 0 || r.latency_us.size() < 300) return false;
+  if (r.failed() > 0 || r.latency_us.size() < 300) return false;
   if (Quantile(r.late_us, 0.99) > 0.5 * slo_us) return false;
   if (WindowedQuantile(r.latency_us, 0.99, kRungWindows) > slo_us) return false;
   // No growing backlog: the last window's median still meets the SLO.
@@ -429,7 +436,8 @@ LadderResult RunLadder(LoadGen* gen, const QueryPool& pool,
       const PhaseResult r = gen->Run(phase, pool);
       ++out.rungs;
       out.attempted += r.attempted();
-      out.failed += r.failed();
+      out.failed += r.failed() - r.unsent;
+      out.shed += r.unsent;
       const bool pass = RungPasses(r, spec.slo_us);
       std::fprintf(stderr,
                    "perfbench: rung %d %.0f qps: p99 %.0f us, late p99 %.0f us, "
@@ -437,7 +445,7 @@ LadderResult RunLadder(LoadGen* gen, const QueryPool& pool,
                    i, phase.rate_qps, Quantile(r.latency_us, 0.99),
                    Quantile(r.late_us, 0.99),
                    static_cast<unsigned long long>(r.sent),
-                   r.shed ? " (shed)" : "", pass ? "pass" : "fail");
+                   r.shed() ? " (shed)" : "", pass ? "pass" : "fail");
       if (pass) return 1;
     }
     return 0;

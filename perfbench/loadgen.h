@@ -45,26 +45,31 @@ struct PhaseSpec {
   double rate_qps = 0.0;
   double duration_s = 0.0;
   std::uint64_t seed = 1;
-  /// Stop sending (and mark the phase shed) once this many queries are
-  /// unanswered: the backlog is growing.
-  std::size_t max_outstanding = 4000;
   AdminPlan admin;
 };
 
 struct PhaseResult {
   std::vector<double> latency_us;  ///< correct answers, due time to receipt
-  std::vector<double> late_us;     ///< send time minus due time
+  /// late_us[i]: how late latency_us[i]'s query was sent (send time minus
+  /// due time), so a window of answers can be told to be scored or not.
+  std::vector<double> late_us;
   std::uint64_t sent = 0;
   std::uint64_t errors = 0;      ///< error frames
   std::uint64_t mismatches = 0;  ///< wrong id, node, or logits bits
-  bool shed = false;
+  /// Scheduled arrivals never sent: once the backlog of unanswered queries
+  /// reaches its limit, the rest of the schedule is shed. Each counts as an
+  /// attempted, failed (unanswered) query.
+  std::uint64_t unsent = 0;
   std::vector<double> publish_s;  ///< publish round trips
   std::uint64_t admin_sent = 0;
   std::uint64_t admin_failed = 0;
   std::vector<std::string> traces;  ///< raw `trace` replies
 
-  std::uint64_t attempted() const { return sent + admin_sent; }
-  std::uint64_t failed() const { return errors + mismatches + admin_failed; }
+  bool shed() const { return unsent > 0; }
+  std::uint64_t attempted() const { return sent + unsent + admin_sent; }
+  std::uint64_t failed() const {
+    return errors + mismatches + unsent + admin_failed;
+  }
 };
 
 /// {"cmd": "publish", ...} hot-swapping the default model to `path`.
@@ -98,6 +103,7 @@ class LoadGen {
     std::int64_t id;
     std::size_t key;
     double due;
+    double late_us;
     std::size_t oldest_version;  ///< newest version known live at send time
   };
   struct Conn {
@@ -131,7 +137,11 @@ struct LadderResult {
   double max_qps = 0.0;  ///< highest passing rung (0 when none passed)
   int rungs = 0;         ///< phases run
   std::uint64_t attempted = 0;
+  /// Error frames, mismatches and failed admin replies. Arrivals a rung
+  /// above the knee shed are not among them: shedding fails the rung, which
+  /// is what the ladder probes for, not the run.
   std::uint64_t failed = 0;
+  std::uint64_t shed = 0;  ///< arrivals shed across all rungs
 };
 
 /// Median over `windows` consecutive equal slices of `latency_us` of each

@@ -34,7 +34,11 @@ def log(message):
 
 
 def build():
-    """Configures once, then brings gcon_cli and the harness up to date.
+    """Configures, then brings gcon_cli and the harness up to date.
+
+    Configuring on every run is cheap once the cache exists, and it is what
+    refreshes the git sha the root project stamps into build_info, so the
+    sha a run records is that of the code it measured.
 
     Returns (gcon_cli, harness) paths, or None when the build fails (for
     example outside a full checkout, where the root CMakeLists.txt is absent).
@@ -44,11 +48,11 @@ def build():
     build_log = os.path.join(BUILD_DIR, "build.log")
     configure = ["cmake", "-S", HERE, "-B", BUILD_DIR,
                  "-DCMAKE_BUILD_TYPE=Release"]
-    if shutil.which("ninja"):
+    if not os.path.isfile(cache) and shutil.which("ninja"):
         configure += ["-G", "Ninja"]
-    steps = [] if os.path.isfile(cache) else [configure]
-    steps.append(["cmake", "--build", BUILD_DIR, "--target", "gcon_cli",
-                  "perfbench_harness", "--parallel", str(os.cpu_count() or 1)])
+    steps = [configure,
+             ["cmake", "--build", BUILD_DIR, "--target", "gcon_cli",
+              "perfbench_harness", "--parallel", str(os.cpu_count() or 1)]]
     with open(build_log, "a") as out:
         for cmd in steps:
             if subprocess.run(cmd, stdout=out, stderr=subprocess.STDOUT).returncode:
