@@ -1,6 +1,7 @@
 // Kernel micro-benchmarks (google-benchmark): the hot paths of the
 // reproduction — dense GEMM (blocked vs the kept seed-naive reference),
-// SpMM and the fused SpmmAxpby APPR round, propagation, the propagation
+// the encoder's first layer (dense vs sparse input), SpMM and the fused
+// SpmmAxpby APPR round, propagation, the propagation
 // cache, Erlang-sphere noise sampling, the Theorem 1 parameter chain, and
 // the convex minimization.
 //
@@ -111,6 +112,58 @@ void BM_SpMM(benchmark::State& state) {
                           static_cast<std::int64_t>(t.nnz()) * 64);
 }
 BENCHMARK(BM_SpMM)->Arg(1000)->Arg(10000);
+
+// The encoder's first layer at the cora_ml training shape: 140 bag-of-words
+// rows x 2,879 features, 32 hidden units. Op 0 is the forward product X*W,
+// op 1 the weight gradient X^T*dZ: dense through GemmBlocked, sparse through
+// CsrMatrix::BlockedMultiply on a CSR built beforehand, as Mlp::Train builds
+// it once for all epochs (same bits either way). Sparse op 2 is that CSR
+// build, which every Mlp::Forward call on a sparse input pays on top of op 0.
+// First arg: density in 1/1000 (12 = cora_ml; 100 = Mlp's sparse cutoff).
+constexpr std::size_t kEncoderRows = 140;
+constexpr std::size_t kEncoderFeatures = 2879;
+constexpr std::size_t kEncoderHidden = 32;
+
+Matrix SparseFeatures(std::int64_t density_milli) {
+  Rng rng(12);
+  Matrix x(kEncoderRows, kEncoderFeatures);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (rng.Bernoulli(static_cast<double>(density_milli) / 1000.0)) {
+      x.data()[k] = 1.0;
+    }
+  }
+  return x;
+}
+
+void BM_EncoderLayer0Dense(benchmark::State& state) {
+  const Matrix x = SparseFeatures(state.range(0));
+  const bool gradient = state.range(1) == 1;
+  const Matrix w = RandomMatrix(kEncoderFeatures, kEncoderHidden, 13);
+  const Matrix dz = RandomMatrix(kEncoderRows, kEncoderHidden, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gradient ? MatMulTransA(x, dz) : MatMul(x, w));
+  }
+}
+BENCHMARK(BM_EncoderLayer0Dense)->ArgsProduct({{12, 100}, {0, 1}});
+
+void BM_EncoderLayer0Sparse(benchmark::State& state) {
+  const Matrix x = SparseFeatures(state.range(0));
+  const std::int64_t op = state.range(1);
+  const Matrix w = RandomMatrix(kEncoderFeatures, kEncoderHidden, 13);
+  const Matrix dz = RandomMatrix(kEncoderRows, kEncoderHidden, 14);
+  const CsrMatrix csr = CsrMatrix::FromDense(x);
+  const CsrMatrix csr_t = csr.Transposed();
+  for (auto _ : state) {
+    if (op == 0) {
+      benchmark::DoNotOptimize(csr.BlockedMultiply(w));
+    } else if (op == 1) {
+      benchmark::DoNotOptimize(csr_t.BlockedMultiply(dz));
+    } else {
+      benchmark::DoNotOptimize(CsrMatrix::FromDense(x));
+    }
+  }
+}
+BENCHMARK(BM_EncoderLayer0Sparse)->ArgsProduct({{12, 100}, {0, 1, 2}});
 
 // One APPR round, fused (single SpmmAxpby pass) vs the pre-fusion three-op
 // sequence (Multiply allocates, then scale, then axpy).

@@ -20,6 +20,13 @@ std::string Trim(const std::string& s);
 /// Formats a double with `digits` significant decimal places (fixed).
 std::string FormatDouble(double value, int digits);
 
+/// Parses all of [first, last) as a finite decimal double, independent of
+/// the locale: an optional leading '+' is accepted and a magnitude below the
+/// smallest subnormal parses as signed zero, while nan, inf, overflow
+/// (1e999) and trailing characters are rejected. Returns false on
+/// rejection and leaves *out untouched.
+bool ParseFiniteDouble(const char* first, const char* last, double* out);
+
 }  // namespace gcon
 
 #endif  // GCON_COMMON_STRING_UTIL_H_

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/string_util.h"
 #include "linalg/ops.h"
 #include "nn/mlp_io.h"
 #include "propagation/appr.h"
@@ -169,11 +170,18 @@ GconArtifact LoadModel(std::istream& in, const std::string& path) {
                           " (declared size would exceed the artifact bound)");
   }
   Matrix theta(rows, cols);
+  std::string token;
   for (std::size_t k = 0; k < theta.size(); ++k) {
-    if (!(in >> theta.data()[k])) {
+    if (!(in >> token)) {
       BadArtifact(path, "truncated theta block (want " +
                             std::to_string(theta.size()) + " values, got " +
                             std::to_string(k) + ")");
+    }
+    if (!ParseFiniteDouble(token.data(), token.data() + token.size(),
+                           &theta.data()[k])) {
+      BadArtifact(path, "non-finite or malformed value '" +
+                            token.substr(0, 32) + "' at theta index " +
+                            std::to_string(k));
     }
   }
 

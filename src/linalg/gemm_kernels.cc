@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -139,6 +140,68 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(std::size_t kc,
 }
 #endif  // GCON_GEMM_HAVE_X86_DISPATCH
 
+// --- row-update primitive ----------------------------------------------------
+//
+// y += sum_t a[t] * B(rows[t], :) in ascending t, each term rounded like the
+// micro-kernel of the same tier: the portable kernel's `c += a * b` and the
+// AVX2 kernel's FMA. The sparse products in sparse/csr_matrix.h build their
+// k-slab accumulators from this, so they round exactly like GemmBlocked.
+
+using AccumulateRowsFn = void (*)(const double*, const std::int32_t*,
+                                  std::size_t, const Matrix&, double*);
+
+void AccumulateRowsPortable(const double* a, const std::int32_t* rows,
+                            std::size_t count, const Matrix& b, double* y) {
+  const std::size_t n = b.cols();
+  for (std::size_t t = 0; t < count; ++t) {
+    const double at = a[t];
+    const double* brow = b.RowPtr(static_cast<std::size_t>(rows[t]));
+    for (std::size_t j = 0; j < n; ++j) {
+      y[j] += at * brow[j];
+    }
+  }
+}
+
+#if GCON_GEMM_HAVE_X86_DISPATCH
+__attribute__((target("avx2,fma"))) void AccumulateRowsAvx2(
+    const double* a, const std::int32_t* rows, std::size_t count,
+    const Matrix& b, double* y) {
+  const std::size_t n = b.cols();
+  std::size_t j = 0;
+  // 16 columns at a time stay in four registers across all the terms.
+  for (; j + 16 <= n; j += 16) {
+    __m256d c0 = _mm256_loadu_pd(y + j), c1 = _mm256_loadu_pd(y + j + 4);
+    __m256d c2 = _mm256_loadu_pd(y + j + 8), c3 = _mm256_loadu_pd(y + j + 12);
+    for (std::size_t t = 0; t < count; ++t) {
+      const double* brow = b.RowPtr(static_cast<std::size_t>(rows[t])) + j;
+      const __m256d at = _mm256_broadcast_sd(a + t);
+      c0 = _mm256_fmadd_pd(at, _mm256_loadu_pd(brow), c0);
+      c1 = _mm256_fmadd_pd(at, _mm256_loadu_pd(brow + 4), c1);
+      c2 = _mm256_fmadd_pd(at, _mm256_loadu_pd(brow + 8), c2);
+      c3 = _mm256_fmadd_pd(at, _mm256_loadu_pd(brow + 12), c3);
+    }
+    _mm256_storeu_pd(y + j, c0);
+    _mm256_storeu_pd(y + j + 4, c1);
+    _mm256_storeu_pd(y + j + 8, c2);
+    _mm256_storeu_pd(y + j + 12, c3);
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d c = _mm256_loadu_pd(y + j);
+    for (std::size_t t = 0; t < count; ++t) {
+      const double* brow = b.RowPtr(static_cast<std::size_t>(rows[t])) + j;
+      c = _mm256_fmadd_pd(_mm256_broadcast_sd(a + t), _mm256_loadu_pd(brow),
+                          c);
+    }
+    _mm256_storeu_pd(y + j, c);
+  }
+  for (; j < n; ++j) {
+    for (std::size_t t = 0; t < count; ++t) {
+      y[j] = std::fma(a[t], b(static_cast<std::size_t>(rows[t]), j), y[j]);
+    }
+  }
+}
+#endif  // GCON_GEMM_HAVE_X86_DISPATCH
+
 bool DetectAvx2() {
 #if GCON_GEMM_HAVE_X86_DISPATCH
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -147,16 +210,21 @@ bool DetectAvx2() {
 #endif
 }
 
-MicroKernelFn ResolveMicroKernel() {
+struct Kernels {
+  MicroKernelFn micro;
+  AccumulateRowsFn accumulate_rows;
+};
+
+Kernels ResolveKernels() {
 #if GCON_GEMM_HAVE_X86_DISPATCH
-  if (DetectAvx2()) return MicroKernelAvx2;
+  if (DetectAvx2()) return {MicroKernelAvx2, AccumulateRowsAvx2};
 #endif
-  return MicroKernelPortable;
+  return {MicroKernelPortable, AccumulateRowsPortable};
 }
 
-// Resolved once; the choice is stable for the process lifetime, so repeated
-// products on identical inputs are bitwise identical.
-const MicroKernelFn kMicroKernel = ResolveMicroKernel();
+// Resolved once, as a pair; the choice is stable for the process lifetime,
+// so repeated products on identical inputs are bitwise identical.
+const Kernels kKernels = ResolveKernels();
 
 // Writes an rows x cols corner of the MR x NR accumulator tile into C at
 // (ci, cj). `first` marks the first k-slab, where beta is applied (beta == 0
@@ -231,7 +299,12 @@ void RecordGemmCall(std::size_t m, std::size_t n, std::size_t k) {
 
 }  // namespace
 
-bool GemmUsesAvx2() { return kMicroKernel != MicroKernelPortable; }
+bool GemmUsesAvx2() { return kKernels.micro != MicroKernelPortable; }
+
+void AccumulateRows(const double* a, const std::int32_t* rows,
+                    std::size_t count, const Matrix& b, double* y) {
+  kKernels.accumulate_rows(a, rows, count, b, y);
+}
 
 void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
                  bool trans_b, double beta, Matrix* c) {
@@ -279,7 +352,7 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
             const double* bs = bpack.data() + js * kc * NR;
             const std::size_t cols = std::min(NR, nc - js * NR);
             for (std::size_t is = 0; is < i_strips; ++is) {
-              kMicroKernel(kc, apack.data() + is * kc * MR, bs, acc);
+              kKernels.micro(kc, apack.data() + is * kc * MR, bs, acc);
               WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
                         first, c, ic + is * MR, jc + js * NR);
             }

@@ -20,10 +20,18 @@
 // thread count. Unlike the pre-blocking kernels there is NO zero-operand
 // short-circuit: a zero in A multiplied by a NaN/Inf in B contributes
 // NaN/Inf to C, exactly as IEEE arithmetic dictates (see linalg/ops.h).
+//
+// The sparse products (CsrMatrix::BlockedMultiply) share this contract
+// through AccumulateRows: each output element is summed over the same KC-deep
+// slabs, in ascending k, with this tier's rounding, so for finite B it is
+// bitwise the GemmBlocked result on the densified A. They skip structural
+// zeros: a skipped 0 * b adds exactly +0 when b is finite, but a NaN/Inf in
+// row p of B reaches only the output rows whose A row stores column p.
 #ifndef GCON_LINALG_GEMM_KERNELS_H_
 #define GCON_LINALG_GEMM_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/matrix.h"
 
@@ -56,6 +64,15 @@ void GemmReference(double alpha, const Matrix& a, const Matrix& b, double beta,
 /// True when the AVX2+FMA micro-kernel is active on this machine (exposed
 /// for diagnostics/benchmark labels).
 bool GemmUsesAvx2();
+
+/// y[0..n) += sum over t < count of a[t] * B(rows[t], 0..n), n = b.cols(),
+/// adding the terms in ascending t and rounding each like the active
+/// micro-kernel: an FMA under AVX2+FMA, a multiply then an add otherwise.
+/// Summing one KC-deep slab's stored entries through this from +0 gives
+/// that slab's GemmBlocked accumulator exactly, since each skipped term
+/// 0 * b adds +0 for finite b.
+void AccumulateRows(const double* a, const std::int32_t* rows,
+                    std::size_t count, const Matrix& b, double* y);
 
 }  // namespace internal
 }  // namespace gcon

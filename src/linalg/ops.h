@@ -17,6 +17,13 @@
 //     other matrix.) The only zero tests are the BLAS-conventional ones on
 //     the *scalars* alpha (alpha == 0 skips the product entirely) and beta
 //     (beta == 0 overwrites C without reading it).
+//   * The one sanctioned zero skip is structural: CsrMatrix::BlockedMultiply
+//     (sparse/csr_matrix.h), which Mlp uses for a sparse first layer, never
+//     visits unstored entries. It sums the same KC-deep slabs in the same
+//     order with the same rounding (linalg/gemm_kernels.h AccumulateRows),
+//     so for finite operands its result is bitwise GemmBlocked's on the
+//     densified matrix; only a NaN/Inf in the dense operand can tell them
+//     apart.
 #ifndef GCON_LINALG_OPS_H_
 #define GCON_LINALG_OPS_H_
 

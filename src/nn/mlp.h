@@ -9,6 +9,10 @@
 //   3. classifier heads inside GAP / ProGAP / LPGNet.
 // Training is full-batch Adam on softmax cross-entropy with optional
 // validation-based model selection (best weights restored).
+//
+// A sparse input (density <= 0.1, e.g. bag-of-words features) runs the first
+// layer as CSR products that reproduce the dense GEMM's bits for finite
+// weights, so outputs never depend on which path ran.
 #ifndef GCON_NN_MLP_H_
 #define GCON_NN_MLP_H_
 
@@ -76,9 +80,6 @@ class Mlp {
   const MlpOptions& options() const { return options_; }
 
  private:
-  /// Forward keeping every post-activation (activations[0] = input).
-  void ForwardKeep(const Matrix& x, std::vector<Matrix>* activations) const;
-
   MlpOptions options_;
   std::vector<Matrix> weights_;  // weights_[l]: dims[l] x dims[l+1]
   std::vector<Matrix> biases_;   // biases_[l]: 1 x dims[l+1]

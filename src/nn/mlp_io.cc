@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/string_util.h"
+
 namespace gcon {
 namespace {
 
@@ -76,10 +78,19 @@ void ReadMatrixInto(const char* tag, int expected_layer, std::istream* in,
         << m->cols() << ")";
     Malformed(msg.str());
   }
+  std::string token;
   for (std::size_t k = 0; k < m->size(); ++k) {
-    if (!(*in >> m->data()[k])) {
+    if (!(*in >> token)) {
       Malformed(std::string("truncated ") + tag + " matrix of layer " +
                 std::to_string(layer));
+    }
+    // Finite weights are what lets the sparse first layer skip zero
+    // features with the dense GEMM's bits (linalg/gemm_kernels.h).
+    if (!ParseFiniteDouble(token.data(), token.data() + token.size(),
+                           &m->data()[k])) {
+      Malformed("non-finite or malformed value '" + token.substr(0, 32) +
+                "' at index " + std::to_string(k) + " of " + tag +
+                " matrix of layer " + std::to_string(layer));
     }
   }
 }

@@ -1,70 +1,15 @@
 #include "serve/wire.h"
 
 #include <cctype>
-#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <locale>
 #include <sstream>
-#include <system_error>
+
+#include "common/string_util.h"
 
 namespace gcon {
 namespace {
-
-/// Classifies a token std::from_chars flagged result_out_of_range, which
-/// it reports identically for overflow (> DBL_MAX) and total underflow
-/// (below the smallest subnormal), leaving the value unmodified. The two
-/// get opposite treatment — underflow is a valid feature value (±0),
-/// overflow is a defect — so decide from the token itself: an out-of-range
-/// magnitude is >= 1e309 or < 1e-323, hence the sign of (decimal exponent
-/// of the leading significant digit + explicit exponent) is decisive.
-/// `first..last` is already validated as a number (sign stripped).
-bool TokenUnderflows(const char* first, const char* last) {
-  const char* p = first;
-  if (p < last && (*p == '-' || *p == '+')) ++p;
-  long lead = 0;
-  bool seen_sig = false;
-  long int_digits = 0;
-  long sig_pos_int = -1;
-  while (p < last && *p >= '0' && *p <= '9') {
-    if (!seen_sig && *p != '0') {
-      seen_sig = true;
-      sig_pos_int = int_digits;
-    }
-    ++int_digits;
-    ++p;
-  }
-  if (p < last && *p == '.') {
-    ++p;
-    long frac_index = 0;
-    while (p < last && *p >= '0' && *p <= '9') {
-      if (!seen_sig && *p != '0') {
-        seen_sig = true;
-        lead = -(frac_index + 1);
-      }
-      ++frac_index;
-      ++p;
-    }
-  }
-  if (sig_pos_int >= 0) lead = int_digits - 1 - sig_pos_int;
-  long exponent = 0;
-  if (p < last && (*p == 'e' || *p == 'E')) {
-    ++p;
-    bool negative = false;
-    if (p < last && (*p == '-' || *p == '+')) {
-      negative = (*p == '-');
-      ++p;
-    }
-    while (p < last && *p >= '0' && *p <= '9') {
-      // Clamp: only the sign of the sum matters, and `lead` is bounded by
-      // the token length, so saturating at a million keeps it exact.
-      if (exponent < 1000000) exponent = exponent * 10 + (*p - '0');
-      ++p;
-    }
-    if (negative) exponent = -exponent;
-  }
-  return lead + exponent < 0;
-}
 
 /// Minimal recursive-descent scanner over one wire line.
 class LineScanner {
@@ -131,14 +76,14 @@ class LineScanner {
 
   /// JSON number: optional sign, digits, optional fraction/exponent. The
   /// token is cut at the first character no number can contain and handed
-  /// to std::from_chars, so "1e" or "." fail instead of half-parsing.
-  /// from_chars, unlike the strtod it replaced, never consults LC_NUMERIC:
-  /// a host process in a comma-decimal locale (de_DE) parses "0.5"
-  /// identically to the C locale (regression-tested in the conformance
-  /// suite). Range policy is unchanged from the strtod era: magnitudes
-  /// below the smallest subnormal parse as signed zero (underflow is a
-  /// valid feature value; 1e-310 still parses to the exact subnormal),
-  /// magnitudes no double can hold reject.
+  /// to ParseFiniteDouble (std::from_chars), so "1e" or "." fail instead of
+  /// half-parsing. from_chars, unlike the strtod it replaced, never
+  /// consults LC_NUMERIC: a host process in a comma-decimal locale (de_DE)
+  /// parses "0.5" identically to the C locale (regression-tested in the
+  /// conformance suite). Range policy is unchanged from the strtod era:
+  /// magnitudes below the smallest subnormal parse as signed zero
+  /// (underflow is a valid feature value; 1e-310 still parses to the exact
+  /// subnormal), magnitudes no double can hold reject.
   bool ReadDouble(double* out) {
     SkipWs();
     const std::size_t start = pos_;
@@ -152,24 +97,7 @@ class LineScanner {
       }
     }
     if (pos_ == start) return false;
-    const char* first = line_.data() + start;
-    const char* last = line_.data() + pos_;
-    // strtod accepted an explicit leading '+'; from_chars does not.
-    // Strip it so every line the old parser served stays valid.
-    if (first < last && *first == '+') ++first;
-    double value = 0.0;
-    const std::from_chars_result result = std::from_chars(first, last, value);
-    if (result.ptr != last) return false;
-    if (result.ec == std::errc::result_out_of_range) {
-      // One errc covers overflow AND underflow (value untouched either
-      // way); the token's own magnitude tells them apart.
-      if (!TokenUnderflows(first, last)) return false;
-      value = (*first == '-') ? -0.0 : 0.0;
-    } else if (result.ec != std::errc()) {
-      return false;
-    }
-    *out = value;
-    return true;
+    return ParseFiniteDouble(line_.data() + start, line_.data() + pos_, out);
   }
 
  private:

@@ -1,8 +1,10 @@
 #include "sparse/csr_matrix.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/check.h"
+#include "linalg/gemm_kernels.h"
 
 namespace gcon {
 
@@ -18,6 +20,47 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   GCON_CHECK_EQ(row_ptr_.size(), rows_ + 1);
   GCON_CHECK_EQ(col_idx_.size(), values_.size());
   GCON_CHECK_EQ(static_cast<std::size_t>(row_ptr_.back()), values_.size());
+}
+
+CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
+  return *FromDenseIfSparse(dense, 1.0);
+}
+
+std::optional<CsrMatrix> CsrMatrix::FromDenseIfSparse(const Matrix& dense,
+                                                      double max_density) {
+  const std::size_t rows = dense.rows();
+  const std::size_t cols = dense.cols();
+  GCON_CHECK_LE(cols, static_cast<std::size_t>(INT32_MAX));
+  const double max_nnz = max_density * static_cast<double>(dense.size());
+  std::vector<std::int64_t> row_ptr(rows + 1, 0);
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (values.size() < pos + cols) {
+      const std::size_t grown = std::max(2 * values.size(), pos + cols);
+      col_idx.resize(grown);
+      values.resize(grown);
+    }
+    // Branch-free: every entry is written at the next free slot, which
+    // only advances past a nonzero, so one pass reads the input once.
+    const double* row = dense.RowPtr(i);
+    std::int32_t* cdst = col_idx.data();
+    double* vdst = values.data();
+    for (std::size_t j = 0; j < cols; ++j) {
+      cdst[pos] = static_cast<std::int32_t>(j);
+      vdst[pos] = row[j];
+      pos += row[j] != 0.0;
+    }
+    row_ptr[i + 1] = static_cast<std::int64_t>(pos);
+    if (static_cast<double>(pos) > max_nnz) return std::nullopt;
+  }
+  col_idx.resize(pos);
+  values.resize(pos);
+  col_idx.shrink_to_fit();
+  values.shrink_to_fit();
+  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 double CsrMatrix::At(std::size_t i, std::size_t j) const {
@@ -103,6 +146,41 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
       orow[j] = a * orow[j] + b * xrow[j];
     }
   }
+}
+
+Matrix CsrMatrix::BlockedMultiply(const Matrix& b) const {
+  GCON_CHECK_EQ(cols_, b.rows()) << "spmm: dim mismatch";
+  const std::size_t n = b.cols();
+  Matrix c(rows_, n);
+  std::vector<double> slab(n);
+  for (std::size_t i = 0; i < rows_; ++i) {
+    double* crow = c.RowPtr(i);
+    std::size_t k = static_cast<std::size_t>(row_ptr_[i]);
+    const std::size_t end = static_cast<std::size_t>(row_ptr_[i + 1]);
+    for (bool first = true; k < end; first = false) {
+      // The stored entries of one KC-deep slab of GemmBlocked's pc loop.
+      // Its accumulator starts from +0 and is then added to C; the first
+      // slab can accumulate in C itself, which is still +0. Slabs with no
+      // stored entry would add +0, which never changes C.
+      const std::size_t slab_end =
+          (static_cast<std::size_t>(col_idx_[k]) / internal::kGemmKC + 1) *
+          internal::kGemmKC;
+      std::size_t stop = k;
+      while (stop < end && static_cast<std::size_t>(col_idx_[stop]) < slab_end) {
+        ++stop;
+      }
+      if (first) {
+        internal::AccumulateRows(&values_[k], &col_idx_[k], stop - k, b, crow);
+      } else {
+        std::fill(slab.begin(), slab.end(), 0.0);
+        internal::AccumulateRows(&values_[k], &col_idx_[k], stop - k, b,
+                                 slab.data());
+        for (std::size_t j = 0; j < n; ++j) crow[j] += slab[j];
+      }
+      k = stop;
+    }
+  }
+  return c;
 }
 
 std::vector<double> CsrMatrix::Multiply(const std::vector<double>& x) const {

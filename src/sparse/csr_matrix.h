@@ -1,14 +1,16 @@
 // Compressed sparse row matrix.
 //
-// Used for the message-passing matrix Ã = D⁻¹(A + I) and the perturbed
-// adjacency matrices of the DP baselines. Construction goes through
-// CooBuilder which sorts, merges duplicates, and produces canonical CSR
-// (row-major, column indices strictly increasing within a row).
+// Used for the message-passing matrix Ã = D⁻¹(A + I), the perturbed
+// adjacency matrices of the DP baselines, and sparse encoder inputs.
+// Construction goes through CooBuilder (which sorts and merges duplicates)
+// or FromDense; both produce canonical CSR (row-major, column indices
+// strictly increasing within a row).
 #ifndef GCON_SPARSE_CSR_MATRIX_H_
 #define GCON_SPARSE_CSR_MATRIX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -23,6 +25,16 @@ class CsrMatrix {
   /// col_idx/values have row_ptr.back() entries.
   CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::int64_t> row_ptr,
             std::vector<std::int32_t> col_idx, std::vector<double> values);
+
+  /// The nonzero entries of `dense` in canonical order. An entry is stored
+  /// when it compares unequal to 0.0, so ±0 are dropped and NaN is kept.
+  static CsrMatrix FromDense(const Matrix& dense);
+
+  /// FromDense in one pass over `dense`, or nullopt once more than
+  /// max_density * dense.size() entries would be stored (the pass stops at
+  /// the end of the row where that happens).
+  static std::optional<CsrMatrix> FromDenseIfSparse(const Matrix& dense,
+                                                    double max_density);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -63,6 +75,13 @@ class CsrMatrix {
   /// alias `z` or `x` (the output row doubles as the accumulator).
   void SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
                  Matrix* out) const;
+
+  /// C = this * B with the blocked GEMM's bits: when B is finite, every
+  /// element equals GemmBlocked(1, ToDense(), false, B, false, 0, &C)
+  /// bitwise (see linalg/gemm_kernels.h). Unlike Multiply, which sums a
+  /// row in one pass, this sums KC-deep column slabs through
+  /// internal::AccumulateRows. For this^T * B, call it on Transposed().
+  Matrix BlockedMultiply(const Matrix& b) const;
 
   /// y = this * x (SpMV).
   std::vector<double> Multiply(const std::vector<double>& x) const;

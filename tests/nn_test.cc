@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/ops.h"
 #include "nn/activations.h"
@@ -306,6 +307,92 @@ TEST(Mlp, ValidationSelectionKeepsBestWeights) {
   mlp.Train(x, labels, train_idx, val_idx);
   const double val_acc = Accuracy(mlp.Forward(x), labels, val_idx);
   EXPECT_GT(val_acc, 0.7);
+}
+
+// --- sparse first layer -----------------------------------------------------
+// An input at bag-of-words density runs layer 0 as CSR products. Outputs and
+// weight gradients must equal, bit for bit, the dense products built from
+// the public weights, here on an input wider than one GEMM k-slab (256).
+
+Matrix SparseBagOfWords(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(rows, cols);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (rng.Bernoulli(0.012)) x.data()[k] = rng.Uniform(0.0, 2.0);
+  }
+  return x;
+}
+
+Mlp SparseInputMlp() {
+  MlpOptions options;
+  options.dims = {600, 16, 8, 3};
+  options.seed = 3;
+  Mlp mlp(options);
+  Rng rng(4);
+  for (int l = 0; l < mlp.num_layers(); ++l) {
+    Matrix* b = mlp.mutable_bias(l);
+    for (std::size_t k = 0; k < b->size(); ++k) {
+      b->data()[k] = rng.Uniform(-0.1, 0.1);
+    }
+  }
+  return mlp;
+}
+
+// Post-activation output of every layer, through MatMul only.
+std::vector<Matrix> DenseForward(const Mlp& mlp, const Matrix& x) {
+  std::vector<Matrix> outputs;
+  for (int l = 0; l < mlp.num_layers(); ++l) {
+    Matrix z = MatMul(l == 0 ? x : outputs.back(), mlp.weight(l));
+    for (std::size_t i = 0; i < z.rows(); ++i) {
+      for (std::size_t j = 0; j < z.cols(); ++j) z(i, j) += mlp.bias(l)(0, j);
+    }
+    if (l + 1 < mlp.num_layers()) {
+      ApplyActivationInPlace(mlp.options().hidden_activation, &z);
+    }
+    outputs.push_back(std::move(z));
+  }
+  return outputs;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Mlp, SparseInputForwardMatchesDenseProductsBitwise) {
+  const Mlp mlp = SparseInputMlp();
+  const Matrix x = SparseBagOfWords(50, 600, 17);
+  const std::vector<Matrix> want = DenseForward(mlp, x);
+  EXPECT_TRUE(SameBits(mlp.Forward(x), want[2]));
+  EXPECT_TRUE(SameBits(mlp.HiddenRepresentation(x, 1), want[0]));
+  EXPECT_TRUE(SameBits(mlp.HiddenRepresentation(x, 2), want[1]));
+}
+
+TEST(Mlp, SparseInputWeightGradientsMatchDenseProductsBitwise) {
+  const Mlp mlp = SparseInputMlp();
+  const Matrix x = SparseBagOfWords(300, 600, 19);  // 300 rows: two slabs
+  Rng rng(20);
+  std::vector<int> labels(x.rows());
+  for (int& label : labels) label = static_cast<int>(rng.UniformInt(3));
+  std::vector<int> idx;
+  for (int i = 0; i < 300; i += 2) idx.push_back(i);
+  std::vector<Matrix> dw, db;
+  mlp.LossAndGrads(x, labels, idx, &dw, &db);
+
+  // Backpropagation by hand, with MatMulTransA/MatMulTransB.
+  const std::vector<Matrix> outputs = DenseForward(mlp, x);
+  Matrix dz;
+  SoftmaxCrossEntropy(outputs.back(), labels, idx, &dz);
+  for (std::size_t l = outputs.size(); l-- > 0;) {
+    EXPECT_TRUE(
+        SameBits(dw[l], MatMulTransA(l == 0 ? x : outputs[l - 1], dz)))
+        << "layer " << l;
+    if (l == 0) break;
+    Matrix deriv;
+    ActivationDerivFromOutput(mlp.options().hidden_activation, outputs[l - 1],
+                              &deriv);
+    dz = Hadamard(MatMulTransB(dz, mlp.weight(static_cast<int>(l))), deriv);
+  }
 }
 
 TEST(Mlp, AccuracyHelper) {

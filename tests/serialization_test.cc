@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -256,6 +257,77 @@ TEST(MlpIo, RejectsImplausibleLayerDimension) {
 TEST(MlpIo, RejectsWeightShapeWhoseProductExceedsBound) {
   const std::string error = LoadMlpError("mlp 2 16000000 16000000 relu\n");
   EXPECT_NE(error.find("implausible weight shape"), std::string::npos)
+      << error;
+}
+
+// --- non-finite values -------------------------------------------------------
+// A loaded artifact's weights and theta must be finite: the sparse encoder
+// layer skips zero features, which matches the dense GEMM's bits only when
+// every weight is finite (a 0 * NaN term would otherwise vanish). The
+// refusal names the defect and its index instead of calling it truncation.
+// fuzz/corpus/artifact/nan_weight seeds the loader fuzzer with this case.
+
+const char kTwoByTwoMlp[] = "mlp 2 2 2 relu\nW 0 2 2\n";
+
+TEST(MlpIo, RejectsNonFiniteOrMalformedWeights) {
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "0.5x"}) {
+    const std::string error = LoadMlpError(std::string(kTwoByTwoMlp) +
+                                           "0.1 0.2\n" + bad + " 0.4\n");
+    EXPECT_NE(error.find(std::string("non-finite or malformed value '") + bad +
+                         "' at index 2 of W matrix of layer 0"),
+              std::string::npos)
+        << bad << ": " << error;
+  }
+  const std::string bias_error = LoadMlpError(
+      std::string(kTwoByTwoMlp) + "0.1 0.2\n0.3 0.4\nb 0 1 2\n0 NaN\n");
+  EXPECT_NE(bias_error.find("at index 1 of b matrix of layer 0"),
+            std::string::npos)
+      << bias_error;
+}
+
+TEST(MlpIo, TruncationIsStillReportedAsTruncation) {
+  const std::string error =
+      LoadMlpError(std::string(kTwoByTwoMlp) + "0.1 0.2\n0.3\n");
+  EXPECT_NE(error.find("truncated W matrix of layer 0"), std::string::npos)
+      << error;
+}
+
+TEST(MlpIo, AcceptsUnderflowAndExplicitPlus) {
+  // The range policy istream >> double had: underflow parses as zero and a
+  // leading '+' is allowed.
+  std::istringstream in(std::string(kTwoByTwoMlp) +
+                        "1e-400 +0.25\n-1e-400 1e-310\nb 0 1 2\n0 0\n");
+  const Mlp mlp = LoadMlp(&in);
+  EXPECT_EQ(mlp.weight(0)(0, 0), 0.0);
+  EXPECT_EQ(mlp.weight(0)(0, 1), 0.25);
+  EXPECT_TRUE(std::signbit(mlp.weight(0)(1, 0)));
+  EXPECT_EQ(mlp.weight(0)(1, 1), 1e-310);
+}
+
+TEST(ModelIo, RejectsNonFiniteOrMalformedTheta) {
+  for (const char* bad : {"nan", "inf", "1e999", "--1"}) {
+    const std::string error = LoadModelError(ArtifactWithTail(
+        std::string("steps 1 2\ntheta 2 2\n0.1 0.2\n0.3 ") + bad + "\n"));
+    EXPECT_NE(error.find(std::string("non-finite or malformed value '") + bad +
+                         "' at theta index 3"),
+              std::string::npos)
+        << bad << ": " << error;
+  }
+  const std::string truncated =
+      LoadModelError(ArtifactWithTail("steps 1 2\ntheta 2 2\n0.1 0.2\n"));
+  EXPECT_NE(truncated.find("truncated theta block (want 4 values, got 2)"),
+            std::string::npos)
+      << truncated;
+}
+
+TEST(ModelIo, RejectsNanWeightLikeTheFuzzSeed) {
+  // The text of fuzz/corpus/artifact/nan_weight.
+  const std::string error = LoadModelError(
+      ArtifactWithTail("steps 1 2\ntheta 2 2\n0.1 0.2\n0.3 0.4\n") +
+      std::string(kTwoByTwoMlp) + "0.1 nan\n0.3 0.4\n");
+  EXPECT_NE(error.find("non-finite or malformed value 'nan' at index 1 of W "
+                       "matrix of layer 0"),
+            std::string::npos)
       << error;
 }
 

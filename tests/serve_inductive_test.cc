@@ -72,6 +72,46 @@ TEST(ServeInductive, MatchesOfflineInferenceOnAugmentedGraph) {
   }
 }
 
+TEST(ServeInductive, MatchesOfflineAtBagOfWordsDensity) {
+  // TinySpec's features are 0.2 dense, so the tests above run the encoder's
+  // dense first layer. Bag-of-words features at cora_ml's density (0.012)
+  // take the sparse one: at session load, for the query row, and in
+  // offline Infer. 600 features span three GEMM k-slabs.
+  DatasetSpec spec = TinySpec();
+  spec.num_features = 600;
+  spec.feature_density = 0.012;
+  for (const std::uint64_t seed : {5u, 21u}) {
+    Rng rng(seed);
+    const Graph graph = GenerateDataset(spec, &rng);
+    const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, seed);
+    const InferenceSession session(artifact, graph);
+
+    ServeRequest request;
+    request.has_features = true;
+    request.features.assign(600, 0.0);
+    for (double& f : request.features) {
+      if (rng.Bernoulli(0.012)) f = 1.0;
+    }
+    request.has_edges = true;
+    request.edges = {1, 7, static_cast<int>(seed) % 40};
+    const std::vector<double> served = session.QueryLogits(request);
+
+    const Matrix offline =
+        artifact.Infer(AugmentGraph(graph, request.features, request.edges));
+    EXPECT_TRUE(BitwiseEqual(
+        offline.RowPtr(static_cast<std::size_t>(graph.num_nodes())), served))
+        << "seed " << seed;
+
+    // Batched with a dense query, the encoder input is past the sparse
+    // cutoff and runs dense; the sparse query's bits must not move.
+    ServeRequest dense_request;
+    dense_request.has_features = true;
+    dense_request.features = RandomFeatures(graph.feature_dim(), seed + 1);
+    const Matrix mixed = session.QueryBatch({&dense_request, &request});
+    EXPECT_TRUE(BitwiseEqual(mixed.RowPtr(1), served)) << "seed " << seed;
+  }
+}
+
 TEST(ServeInductive, MatchesOfflineWithCacheDisabled) {
   // The bitwise contract may not depend on whether the transition came out
   // of the PropagationCache or was rebuilt from scratch, on either side.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
+
 #include "linalg/ops.h"
 #include "rng/rng.h"
 #include "sparse/csr_matrix.h"
@@ -74,6 +78,51 @@ TEST(CsrMatrix, ToDenseRoundTrip) {
   Rng rng(31);
   const auto [sparse, dense] = RandomSparse(8, 6, 0.3, &rng);
   EXPECT_TRUE(sparse.ToDense().AllClose(dense));
+}
+
+TEST(CsrMatrix, FromDenseIsCanonical) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Matrix dense{{0.0, 2.0, -0.0, 3.0},
+                     {0.0, 0.0, 0.0, 0.0},
+                     {nan, 0.0, -1.0, 0.0}};
+  const CsrMatrix m = CsrMatrix::FromDense(dense);
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  // Both signed zeros are dropped; NaN compares unequal to 0 and is kept.
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::int64_t>{0, 2, 2, 4}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::int32_t>{1, 3, 0, 2}));
+  EXPECT_EQ(m.values()[0], 2.0);
+  EXPECT_EQ(m.values()[1], 3.0);
+  EXPECT_TRUE(std::isnan(m.values()[2]));
+  EXPECT_EQ(m.values()[3], -1.0);
+}
+
+TEST(CsrMatrix, FromDenseMatchesCooBuilder) {
+  Rng rng(41);
+  const auto [sparse, dense] = RandomSparse(40, 300, 0.05, &rng);
+  const CsrMatrix m = CsrMatrix::FromDense(dense);
+  EXPECT_EQ(m.row_ptr(), sparse.row_ptr());
+  EXPECT_EQ(m.col_idx(), sparse.col_idx());
+  EXPECT_EQ(m.values(), sparse.values());
+}
+
+TEST(CsrMatrix, FromDenseOfEmptyAndZeroMatrices) {
+  EXPECT_EQ(CsrMatrix::FromDense(Matrix()).nnz(), 0u);
+  const CsrMatrix zeros = CsrMatrix::FromDense(Matrix(5, 7));
+  EXPECT_EQ(zeros.rows(), 5u);
+  EXPECT_EQ(zeros.nnz(), 0u);
+  EXPECT_EQ(zeros.row_ptr(), std::vector<std::int64_t>(6, 0));
+}
+
+TEST(CsrMatrix, FromDenseIfSparseStopsAboveTheDensity) {
+  Matrix dense(4, 10);
+  for (std::size_t i = 0; i < 4; ++i) dense(i, i) = 1.0;  // 4 of 40 = 0.1
+  const std::optional<CsrMatrix> at = CsrMatrix::FromDenseIfSparse(dense, 0.1);
+  ASSERT_TRUE(at.has_value());
+  EXPECT_EQ(at->nnz(), 4u);
+  EXPECT_FALSE(CsrMatrix::FromDenseIfSparse(dense, 0.09).has_value());
+  EXPECT_FALSE(
+      CsrMatrix::FromDenseIfSparse(Matrix(3, 3, 1.0), 0.5).has_value());
 }
 
 TEST(CsrMatrix, SpmmMatchesDense) {

@@ -4,6 +4,8 @@
 #   - BM_DenseGemm* carry a FLOPS rate counter (GEMM GFLOP/s = FLOPS / 1e9),
 #   - BM_SpMM carries rows_per_s,
 #   - BM_ApprPropagate / BM_ApprRound* are tracked by real_time (ms),
+#   - BM_EncoderLayer0Dense/Sparse pair the encoder's first layer at the
+#     cora_ml training shape, dense GEMM vs CSR product (real_time),
 #   - BM_DenseGemmSeedNaive is the seed kernel the speedup is measured
 #     against, in the same binary with the same build flags.
 #
@@ -20,7 +22,7 @@ if [ "${GCON_PERF_SMOKE:-0}" = "1" ]; then
 fi
 
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_DenseGemm|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit' \
+  --benchmark_filter='BM_DenseGemm|BM_SpMM|BM_ApprPropagate|BM_ApprRound|BM_PropagationCacheHit|BM_EncoderLayer0' \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions=1 \
   --benchmark_format=json \
