@@ -1,4 +1,4 @@
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,5 @@
-// Lock-free latency histogram for the serving tier.
+// Lock-free latency histogram: the serving tier's per-model latency and the
+// backing store of every obs::Histogram.
 //
 // Record() is called on the hot path by every batch worker, so the store is
 // an array of atomic counters — no mutex, no allocation. Buckets are
@@ -11,8 +12,8 @@
 // Snapshot() is safe to call concurrently with Record(); it reads each
 // counter once (relaxed), so a snapshot taken mid-burst is a consistent
 // *approximation*, which is all a monitoring read needs.
-#ifndef GCON_SERVE_LATENCY_STATS_H_
-#define GCON_SERVE_LATENCY_STATS_H_
+#ifndef GCON_OBS_LATENCY_STATS_H_
+#define GCON_OBS_LATENCY_STATS_H_
 
 #include <array>
 #include <atomic>
@@ -92,4 +93,4 @@ class LatencyStats {
 
 }  // namespace gcon
 
-#endif  // GCON_SERVE_LATENCY_STATS_H_
+#endif  // GCON_OBS_LATENCY_STATS_H_

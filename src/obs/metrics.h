@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 
 namespace gcon {
 namespace obs {

@@ -46,7 +46,7 @@
 
 #include "obs/metrics.h"
 #include "serve/inference_session.h"
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 #include "serve/serve_error.h"
 
 namespace gcon {

@@ -2,20 +2,24 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <iostream>
 #include <locale>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -327,271 +331,200 @@ namespace {
                            std::strerror(errno) + ")");
 }
 
-/// Writes the whole line, SIGPIPE-safe (MSG_NOSIGNAL — a vanished client
-/// must surface as a return code on this thread, not a process signal).
-/// Returns false when the connection is unusable: the peer went away, or
-/// the send timeout (ServeOptions.io_timeout_ms via SO_SNDTIMEO) expired
-/// because the client stopped reading — either way the caller closes
-/// rather than letting a stalled client pin this thread. A partial write
-/// (short send) is retried from where it stopped, never re-sent from the
-/// start, so the byte stream can tear but never duplicate.
-bool SendAll(int fd, const std::string& data) {
-  if (FaultInjector::Global().ShouldFire(Fault::kTornSocket)) {
-    // Chaos site: deliver half the line, then kill the connection — the
-    // mid-response client crash. The server side must just close cleanly.
-    ::send(fd, data.data(), data.size() / 2, MSG_NOSIGNAL);
-    ::shutdown(fd, SHUT_RDWR);
-    return false;
+/// One accepted connection's socket, counted under its transport: every
+/// byte a codec reads and every reply the connection loop writes passes
+/// through here, so gcon_serve_{connections,bytes}_total count each once.
+/// It never closes the fd — RunTcpServer owns that.
+class Socket {
+ public:
+  Socket(int fd, int transport) : fd_(fd), transport_(transport) {
+    auto& registry = obs::MetricsRegistry::Global();
+    const std::string name = obs::TransportName(transport);
+    const auto bytes = [&](const char* direction) {
+      return registry.counter("gcon_serve_bytes_total",
+                              "Wire bytes moved, by transport and direction.",
+                              {{"transport", name}, {"direction", direction}});
+    };
+    bytes_in_ = bytes("in");
+    bytes_out_ = bytes("out");
+    registry
+        .counter("gcon_serve_connections_total",
+                 "Accepted TCP connections, by transport.",
+                 {{"transport", name}})
+        ->Increment();
   }
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal — a retry, not an error
-    if (n <= 0) return false;  // peer gone or SO_SNDTIMEO expired
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+  int transport() const { return transport_; }
 
-/// Per-transport registry handles (connections, bytes in/out), fetched
-/// once per process and indexed by obs transport tag.
-struct TransportMetrics {
-  obs::Counter* connections = nullptr;
-  obs::Counter* bytes_in = nullptr;
-  obs::Counter* bytes_out = nullptr;
+  /// One recv of at most `cap` bytes. Returns 0 on EOF (including the
+  /// SHUT_RD a server shutdown applies), a dead socket, or an expired
+  /// SO_RCVTIMEO: a client silent for io_timeout_ms is hung up on rather
+  /// than pinning this thread.
+  std::size_t RecvSome(char* dst, std::size_t cap) {
+    for (;;) {
+      const ssize_t n = ::recv(fd_, dst, cap, 0);
+      if (n < 0 && errno == EINTR) continue;  // signal — retry the read
+      if (n <= 0) return 0;
+      bytes_in_->Increment(static_cast<std::uint64_t>(n));
+      return static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Reads exactly `want` bytes; false when RecvSome gives up first.
+  bool RecvAll(char* dst, std::size_t want) {
+    for (std::size_t got = 0; got < want;) {
+      const std::size_t n = RecvSome(dst + got, want - got);
+      if (n == 0) return false;
+      got += n;
+    }
+    return true;
+  }
+
+  /// Non-blocking MSG_PEEK: true when the client has a byte queued.
+  bool HasQueuedBytes() const {
+    char probe;
+    return ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+  }
+
+  /// Writes all of `data`, SIGPIPE-safe (MSG_NOSIGNAL: a vanished client
+  /// is a return code on this thread, not a process signal). False when
+  /// the peer went away or SO_SNDTIMEO expired because it stopped reading.
+  /// A short send resumes where it stopped, so the stream can tear but
+  /// never duplicate.
+  bool Send(const std::string& data) {
+    if (FaultInjector::Global().ShouldFire(Fault::kTornSocket)) {
+      // Chaos site: deliver half the message, then kill the connection —
+      // the mid-response client crash. The server side must just close.
+      ::send(fd_, data.data(), data.size() / 2, MSG_NOSIGNAL);
+      ::shutdown(fd_, SHUT_RDWR);
+      return false;
+    }
+    for (std::size_t sent = 0; sent < data.size();) {
+      const ssize_t n =
+          ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;  // signal — a retry, not an error
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    bytes_out_->Increment(data.size());
+    return true;
+  }
+
+ private:
+  int fd_;
+  int transport_;
+  obs::Counter* bytes_in_;
+  obs::Counter* bytes_out_;
 };
 
-const TransportMetrics& TransportCounters(int transport) {
-  static const std::array<TransportMetrics, 2> metrics = [] {
-    auto& registry = obs::MetricsRegistry::Global();
-    std::array<TransportMetrics, 2> m{};
-    for (int t = 0; t < 2; ++t) {
-      const std::string name = obs::TransportName(t);
-      m[static_cast<std::size_t>(t)] = {
-          registry.counter("gcon_serve_connections_total",
-                           "Accepted TCP connections, by transport.",
-                           {{"transport", name}}),
-          registry.counter("gcon_serve_bytes_total",
-                           "Wire bytes moved, by transport and direction.",
-                           {{"transport", name}, {"direction", "in"}}),
-          registry.counter("gcon_serve_bytes_total",
-                           "Wire bytes moved, by transport and direction.",
-                           {{"transport", name}, {"direction", "out"}}),
-      };
-    }
-    return m;
-  }();
-  return metrics[static_cast<std::size_t>(transport)];
-}
-
-/// Serves one connection line-by-line. Query lines are pipelined through
-/// QueryAsync (so a burst from one client coalesces into one batch);
-/// responses flush in request order at chunk boundaries and before any
-/// admin/quit/error line, preserving the ordered-wire contract.
-void ServeJsonConnection(InferenceServer* server, int fd) {
-  const TransportMetrics& tm = TransportCounters(obs::kTransportJson);
-  tm.connections->Increment();
-  std::string buffer;
-  struct InFlight {
-    std::int64_t id;
-    std::future<ServeResponse> future;
-    std::shared_ptr<obs::RequestTrace> trace;
+/// One client message, as a codec decoded it.
+struct Inbound {
+  enum class Kind {
+    kQuery,   ///< `request` is a query to admit
+    kAdmin,   ///< `command` is an admin verb; `request` carries id/model/path
+    kReject,  ///< a defect with framing intact: answer `error`, keep reading
+    kFatal,   ///< framing is lost: answer `error`, then hang up
   };
-  std::deque<InFlight> pending;
-  char chunk[4096];
+  Kind kind = Kind::kQuery;
+  WireCommand command = WireCommand::kQuery;
+  ServeRequest request;                ///< request.id also ids an error
+  std::optional<ServeErrorCode> code;  ///< coded rejection when set
+  std::string error;
+};
 
-  auto send_line = [&](const std::string& data) -> bool {
-    const bool ok = SendAll(fd, data);
-    if (ok) tm.bytes_out->Increment(data.size());
-    return ok;
-  };
+/// A wire format: decodes client messages and encodes the server's
+/// answers. The connection loop (RunConnection) owns everything else.
+class Codec {
+ public:
+  virtual ~Codec() = default;
+  /// Decodes the next message from bytes already read; false when a whole
+  /// message is not buffered yet (call Fill, then Decode again).
+  virtual bool Decode(Inbound* message) = 0;
+  /// Blocks to read more; false on EOF, a dead socket or a timeout.
+  virtual bool Fill() = 0;
+  virtual std::string EncodeResponse(const ServeResponse& response) const = 0;
+  virtual std::string EncodeError(std::int64_t id,
+                                  std::optional<ServeErrorCode> code,
+                                  const std::string& message) const = 0;
+  virtual std::string EncodeAdminReply(WireCommand command,
+                                       const std::string& body) const = 0;
+};
 
-  // Returns false when the socket died mid-flush; the remaining futures
-  // are still drained (the batcher resolves every accepted query — the
-  // responses just have no live reader), then the caller closes.
-  auto flush_pending = [&]() -> bool {
-    bool alive = true;
-    while (!pending.empty()) {
-      try {
-        const ServeResponse response = pending.front().future.get();
-        if (alive) {
-          alive = send_line(FormatWireResponse(response) + "\n");
-        }
-      } catch (const ServeError& e) {
-        // Structured rejection (deadline expired in queue): the coded
-        // line lets a pipelined client tell "retry" from "bug".
-        if (alive) {
-          alive = send_line(FormatWireError(pending.front().id, e.code(),
-                                            e.what()) +
-                            "\n");
-        }
-      } catch (const std::exception& e) {
-        // Batch-handler failure: the error line must still carry the id
-        // the client used, or a pipelined client cannot attribute it.
-        if (alive) {
-          alive = send_line(FormatWireError(pending.front().id, e.what()) +
-                            "\n");
-        }
-      }
-      obs::TraceRecorder::Global().Finish(pending.front().trace);
-      pending.pop_front();
-    }
-    return alive;
-  };
+/// Newline JSON (serve/wire.h).
+class LineCodec final : public Codec {
+ public:
+  explicit LineCodec(Socket* socket) : socket_(socket) {}
 
-  // A line (or partial line) past the size cap means the client lost
-  // framing — report with whatever id is recoverable, then hang up; there
-  // is no byte to resync on.
-  auto oversized = [&](const std::string& data) {
-    std::int64_t id = 0;
-    RecoverWireId(data, &id);
-    flush_pending();
-    send_line(FormatWireError(
-                  id, "oversized request line (limit " +
-                          std::to_string(kMaxWireLineBytes) + " bytes)") +
-              "\n");
-    ::close(fd);
-  };
-
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // signal — retry the read
-    // SO_RCVTIMEO expired: the client sent nothing for io_timeout_ms. A
-    // stalled (or vanished-without-FIN) client must not pin this thread
-    // forever, so hang up; anything it already submitted was flushed at
-    // the last chunk boundary.
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n <= 0) break;  // EOF or a dead socket
-    tm.bytes_in->Increment(static_cast<std::uint64_t>(n));
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t start = 0;
-    for (std::size_t eol = buffer.find('\n', start);
-         eol != std::string::npos; eol = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, eol - start);
-      start = eol + 1;
-      if (line.size() > kMaxWireLineBytes) {
-        oversized(line);
-        return;
-      }
-      const std::size_t text_begin = line.find_first_not_of(" \t\r");
-      if (line.empty() || text_begin == std::string::npos) {
-        continue;
-      }
+  bool Decode(Inbound* message) override {
+    for (std::size_t eol = buffer_.find('\n', start_);
+         eol != std::string::npos; eol = buffer_.find('\n', start_)) {
+      const std::string line = buffer_.substr(start_, eol - start_);
+      start_ = eol + 1;
+      if (line.size() > kMaxWireLineBytes) return Oversized(line, message);
+      const std::size_t begin = line.find_first_not_of(" \t\r");
+      if (begin == std::string::npos) continue;  // blank line
       // A bare `metrics` line (no JSON) serves the Prometheus exposition,
       // so `echo metrics | nc host port` scrapes without quoting JSON.
-      const std::size_t text_end = line.find_last_not_of(" \t\r");
-      if (line.compare(text_begin, text_end - text_begin + 1, "metrics") ==
-          0) {
-        flush_pending();
-        send_line(server->MetricsText());
-        continue;
+      const std::size_t end = line.find_last_not_of(" \t\r");
+      if (line.compare(begin, end - begin + 1, "metrics") == 0) {
+        message->kind = Inbound::Kind::kAdmin;
+        message->command = WireCommand::kMetrics;
+      } else if (!ParseWireRequest(line, &message->command,
+                                   &message->request, &message->error)) {
+        message->kind = Inbound::Kind::kReject;
+      } else {
+        message->kind = message->command == WireCommand::kQuery
+                            ? Inbound::Kind::kQuery
+                            : Inbound::Kind::kAdmin;
       }
-      WireCommand command;
-      ServeRequest request;
-      std::string error;
-      if (!ParseWireRequest(line, &command, &request, &error)) {
-        flush_pending();
-        send_line(FormatWireError(request.id, error) + "\n");
-        continue;
-      }
-      if (command == WireCommand::kStats) {
-        flush_pending();
-        send_line(server->StatsJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kListModels) {
-        flush_pending();
-        send_line(server->ListModelsJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kMetrics) {
-        flush_pending();
-        // Multi-line response; the exposition's trailing "# EOF" line is
-        // the framing sentinel clients read to.
-        send_line(server->MetricsText());
-        continue;
-      }
-      if (command == WireCommand::kTrace) {
-        flush_pending();
-        send_line(obs::TraceRecorder::Global().TracesJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kBudget) {
-        flush_pending();
-        send_line(server->BudgetJson() + "\n");
-        continue;
-      }
-      if (command == WireCommand::kPublish) {
-        flush_pending();
-        try {
-          send_line(server->PublishFromFile(request.model, request.path) +
-                    "\n");
-        } catch (const ServeError& e) {
-          // Coded refusal (budget_exhausted): the client can tell "the
-          // cap is spent" from "bad path" without parsing prose.
-          send_line(FormatWireError(request.id, e.code(), e.what()) + "\n");
-        } catch (const std::exception& e) {
-          send_line(FormatWireError(request.id, e.what()) + "\n");
-        }
-        continue;
-      }
-      if (command == WireCommand::kDrain) {
-        flush_pending();
-        server->BeginDrain();
-        send_line("{\"draining\": true}\n");
-        continue;
-      }
-      if (command == WireCommand::kQuit) {
-        flush_pending();
-        ::close(fd);
-        return;
-      }
-      request.trace = obs::TraceRecorder::Global().MaybeStart(
-          request.id, obs::kTransportJson);
-      try {
-        const std::int64_t id = request.id;
-        auto trace = request.trace;
-        pending.push_back(
-            {id, server->QueryAsync(std::move(request)), std::move(trace)});
-      } catch (const ServeError& e) {
-        // Admission rejection (overloaded / draining): coded, fail-fast —
-        // the client learns to back off instead of hanging.
-        flush_pending();
-        send_line(FormatWireError(request.id, e.code(), e.what()) + "\n");
-      } catch (const std::exception& e) {
-        flush_pending();
-        send_line(FormatWireError(request.id, e.what()) + "\n");
-      }
+      return true;
     }
-    buffer.erase(0, start);
-    if (buffer.size() > kMaxWireLineBytes) {
-      oversized(buffer);
-      return;
+    if (buffer_.size() - start_ > kMaxWireLineBytes) {
+      return Oversized(buffer_.substr(start_), message);
     }
-    if (!flush_pending()) break;  // socket died mid-response; stop reading
+    return false;
   }
-  // Accepted queries still in flight resolve before the thread exits —
-  // their client is gone, but the batcher contract (every future resolves)
-  // and the per-model counters stay truthful.
-  flush_pending();
-  ::close(fd);
-}
 
-/// Reads exactly `want` bytes. False on EOF, a dead socket, or an expired
-/// SO_RCVTIMEO (a stalled client mustn't pin the thread — same policy as
-/// the JSON loop).
-bool RecvAll(int fd, char* dst, std::size_t want) {
-  std::size_t got = 0;
-  while (got < want) {
-    const ssize_t n = ::recv(fd, dst + got, want - got, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    got += static_cast<std::size_t>(n);
+  bool Fill() override {
+    buffer_.erase(0, start_);
+    start_ = 0;
+    char chunk[4096];
+    const std::size_t n = socket_->RecvSome(chunk, sizeof(chunk));
+    buffer_.append(chunk, n);
+    return n > 0;
   }
-  return true;
-}
+
+  std::string EncodeResponse(const ServeResponse& response) const override {
+    return FormatWireResponse(response) + "\n";
+  }
+  std::string EncodeError(std::int64_t id, std::optional<ServeErrorCode> code,
+                          const std::string& message) const override {
+    return (code ? FormatWireError(id, *code, message)
+                 : FormatWireError(id, message)) +
+           "\n";
+  }
+  std::string EncodeAdminReply(WireCommand command,
+                               const std::string& body) const override {
+    // The exposition is multi-line; its trailing "# EOF" line is the
+    // framing sentinel clients read to.
+    return command == WireCommand::kMetrics ? body : body + "\n";
+  }
+
+ private:
+  /// A line (or partial line) past the size cap means the client lost
+  /// framing: report with whatever id is recoverable, then hang up — there
+  /// is no byte to resync on.
+  static bool Oversized(const std::string& data, Inbound* message) {
+    message->kind = Inbound::Kind::kFatal;
+    RecoverWireId(data, &message->request.id);
+    message->error = "oversized request line (limit " +
+                     std::to_string(kMaxWireLineBytes) + " bytes)";
+    return true;
+  }
+
+  Socket* socket_;
+  std::string buffer_;
+  std::size_t start_ = 0;  ///< first byte not yet decoded
+};
 
 /// Per-connection pool of frame payload buffers. Zero-copy pins
 /// (ServeRequest::frame_pin) keep a buffer's use_count above 1 for as long
@@ -618,233 +551,254 @@ class FramePool {
   std::vector<std::shared_ptr<std::vector<char>>> pool_;
 };
 
-/// Serves one binary-framed connection (serve/frame.h). Mirrors the JSON
-/// loop's discipline — pipelined QueryAsync, responses flushed in request
-/// order before any admin/error frame and whenever the client has nothing
-/// more buffered — but the request path is zero-copy: each frame payload
-/// lands in a pooled buffer, the parsed request's feature view points into
-/// it, and the buffer stays pinned until the query's batch resolves.
-void ServeBinaryConnection(InferenceServer* server, int fd) {
-  const TransportMetrics& tm = TransportCounters(obs::kTransportBinary);
-  tm.connections->Increment();
-  auto send_frame = [&](const std::string& data) -> bool {
-    const bool ok = SendAll(fd, data);
-    if (ok) tm.bytes_out->Increment(data.size());
-    return ok;
-  };
+/// Binary frames (serve/frame.h). Zero-copy: each payload lands in a
+/// pooled buffer with one recv, a request's feature view points into it,
+/// and the request pins the buffer until its batch resolves.
+class FrameCodec final : public Codec {
+ public:
+  explicit FrameCodec(Socket* socket) : socket_(socket) {}
 
-  // Hello handshake: validate the client's magic+version, answer with the
-  // negotiated version (min of the two — a newer client speaks our dialect,
-  // an older server never has to).
-  char hello[kFrameHelloBytes];
-  if (!RecvAll(fd, hello, sizeof(hello))) {
-    ::close(fd);
-    return;
-  }
-  tm.bytes_in->Increment(sizeof(hello));
-  std::uint16_t client_version = 0;
-  std::string error;
-  if (!ParseHello(hello, sizeof(hello), &client_version, &error)) {
-    send_frame(EncodeErrorFrame(
-        0, WireErrorCode(ServeErrorCode::kMalformedFrame), error));
-    ::close(fd);
-    return;
-  }
-  const std::uint16_t version = std::min(client_version, kFrameVersion);
-  if (!send_frame(EncodeHello(version))) {
-    ::close(fd);
-    return;
+  /// Hello handshake: validates the client's magic + version and answers
+  /// with the negotiated version, min(client, server). False = hang up.
+  bool Handshake() {
+    char hello[kFrameHelloBytes];
+    if (!socket_->RecvAll(hello, sizeof(hello))) return false;
+    std::uint16_t client_version = 0;
+    std::string error;
+    if (!ParseHello(hello, sizeof(hello), &client_version, &error)) {
+      socket_->Send(EncodeError(0, ServeErrorCode::kMalformedFrame, error));
+      return false;
+    }
+    return socket_->Send(EncodeHello(std::min(client_version, kFrameVersion)));
   }
 
+  bool Decode(Inbound* message) override {
+    if (!frame_) return false;
+    *message = std::move(*frame_);
+    frame_.reset();
+    return true;
+  }
+
+  /// Reads and decodes one whole frame: a header recv, then one payload
+  /// recv into a pooled buffer.
+  bool Fill() override {
+    char header[kFrameHeaderBytes];
+    if (!socket_->RecvAll(header, sizeof(header))) return false;
+    Inbound& message = frame_.emplace();
+    message.code = ServeErrorCode::kMalformedFrame;  // for any defect
+    FrameType type{};
+    std::uint32_t length = 0;
+    if (!ParseFrameHeader(header, &type, &length, &message.error)) {
+      // Hostile length or unknown type: framing is lost (or the peer
+      // speaks a future dialect), nothing to resync on.
+      message.kind = Inbound::Kind::kFatal;
+      return true;
+    }
+    const std::shared_ptr<std::vector<char>> buffer = pool_.Take(length);
+    if (length > 0 && !socket_->RecvAll(buffer->data(), length)) {
+      frame_.reset();
+      return false;
+    }
+    // A payload defect with framing intact is the binary analogue of a
+    // malformed JSON line: coded error (a request's id from offset 0..7),
+    // keep serving.
+    message.kind = Inbound::Kind::kReject;
+    if (type == FrameType::kRequest) {
+      if (ParseRequestPayload(buffer->data(), length, &message.request,
+                              &message.error)) {
+        // The feature view aliases the buffer; the pin keeps Take() off it
+        // until the query's batch has gathered those bytes.
+        message.request.frame_pin =
+            std::shared_ptr<const void>(buffer, buffer->data());
+        message.kind = Inbound::Kind::kQuery;
+      }
+    } else if (type == FrameType::kAdmin) {
+      AdminVerb verb{};
+      if (ParseAdminPayload(buffer->data(), length, &verb,
+                            &message.request.model, &message.request.path,
+                            &message.error)) {
+        message.command = Command(verb);
+        message.kind = Inbound::Kind::kAdmin;
+      }
+    } else {
+      // A server-to-client type arriving at the server is a protocol
+      // violation, not a payload defect.
+      message.kind = Inbound::Kind::kFatal;
+      message.error =
+          "unexpected frame type (clients send requests and admin frames "
+          "only)";
+    }
+    return true;
+  }
+
+  std::string EncodeResponse(const ServeResponse& response) const override {
+    return EncodeResponseFrame(response);
+  }
+  std::string EncodeError(std::int64_t id, std::optional<ServeErrorCode> code,
+                          const std::string& message) const override {
+    return EncodeErrorFrame(id, code ? WireErrorCode(*code) : 0, message);
+  }
+  std::string EncodeAdminReply(WireCommand /*command*/,
+                               const std::string& body) const override {
+    return EncodeAdminReplyFrame(body);
+  }
+
+ private:
+  /// The admin verb as the wire command it spells, so the verb -> server
+  /// call dispatch exists once, over WireCommand.
+  static WireCommand Command(AdminVerb verb) {
+    switch (verb) {
+      case AdminVerb::kStats: return WireCommand::kStats;
+      case AdminVerb::kListModels: return WireCommand::kListModels;
+      case AdminVerb::kQuit: return WireCommand::kQuit;
+      case AdminVerb::kPublish: return WireCommand::kPublish;
+      case AdminVerb::kDrain: return WireCommand::kDrain;
+      case AdminVerb::kMetrics: return WireCommand::kMetrics;
+      case AdminVerb::kTrace: return WireCommand::kTrace;
+      case AdminVerb::kBudget: return WireCommand::kBudget;
+    }
+    return WireCommand::kQuery;  // unreachable: ParseAdminPayload checks
+  }
+
+  Socket* socket_;
+  FramePool pool_;
+  std::optional<Inbound> frame_;  ///< read by Fill, not yet decoded
+};
+
+/// Encodes the exception being handled as `codec`'s error for `id`: a
+/// ServeError keeps its code, so a client can tell "retry" from "bug".
+std::string EncodeCurrentException(const Codec& codec, std::int64_t id) {
+  try {
+    throw;
+  } catch (const ServeError& e) {
+    return codec.EncodeError(id, e.code(), e.what());
+  } catch (const std::exception& e) {
+    return codec.EncodeError(id, std::nullopt, e.what());
+  }
+}
+
+/// The one admin dispatch: the JSON body answering an admin verb.
+std::string AdminBody(InferenceServer* server, const Inbound& message) {
+  switch (message.command) {
+    case WireCommand::kStats: return server->StatsJson();
+    case WireCommand::kListModels: return server->ListModelsJson();
+    case WireCommand::kMetrics: return server->MetricsText();
+    case WireCommand::kTrace: return obs::TraceRecorder::Global().TracesJson();
+    case WireCommand::kBudget: return server->BudgetJson();
+    case WireCommand::kPublish:
+      return server->PublishFromFile(message.request.model,
+                                     message.request.path);
+    case WireCommand::kDrain:
+      server->BeginDrain();
+      return "{\"draining\": true}";
+    case WireCommand::kQuery:
+    case WireCommand::kQuit:
+      break;
+  }
+  throw std::logic_error("no admin reply for this command");
+}
+
+/// The connection state machine, one for both transports. Queries are
+/// pipelined through QueryAsync, so a burst from one client coalesces into
+/// one batch, and answered strictly in request order. Everything already
+/// admitted is answered before any admin reply or error, and before the
+/// connection closes (its client may be gone, but every accepted future
+/// still resolves and the per-model counters stay truthful).
+///
+/// The flush rule: before blocking for the next message, if answers are
+/// pending, the codec has no complete message buffered, and a non-blocking
+/// peek finds the socket empty, flush. A client now waiting for answers
+/// gets them; a client mid-burst keeps filling the current batch window.
+void RunConnection(InferenceServer* server, Socket* socket, Codec* codec) {
   struct InFlight {
     std::int64_t id;
     std::future<ServeResponse> future;
     std::shared_ptr<obs::RequestTrace> trace;
   };
   std::deque<InFlight> pending;
-
-  auto flush_pending = [&]() -> bool {
-    bool alive = true;
-    while (!pending.empty()) {
+  bool open = true;  // false once a write fails: stop reading and writing
+  auto send = [&](const std::string& data) {
+    if (open) open = socket->Send(data);
+  };
+  auto flush = [&] {
+    for (; !pending.empty(); pending.pop_front()) {
+      InFlight& query = pending.front();
+      std::string answer;
       try {
-        const ServeResponse response = pending.front().future.get();
-        if (alive) alive = send_frame(EncodeResponseFrame(response));
-      } catch (const ServeError& e) {
-        if (alive) {
-          alive = send_frame(EncodeErrorFrame(pending.front().id,
-                                              WireErrorCode(e.code()),
-                                              e.what()));
-        }
-      } catch (const std::exception& e) {
-        if (alive) {
-          alive = send_frame(
-              EncodeErrorFrame(pending.front().id, 0, e.what()));
-        }
+        answer = codec->EncodeResponse(query.future.get());
+      } catch (...) {
+        answer = EncodeCurrentException(*codec, query.id);
       }
-      obs::TraceRecorder::Global().Finish(pending.front().trace);
-      pending.pop_front();
+      send(answer);
+      obs::TraceRecorder::Global().Finish(query.trace);
     }
-    return alive;
+  };
+  auto next = [&](Inbound* message) {
+    while (!codec->Decode(message)) {
+      if (!pending.empty() && !socket->HasQueuedBytes()) flush();
+      if (!open || !codec->Fill()) return false;
+    }
+    return true;
   };
 
-  FramePool pool;
-  const std::uint32_t malformed =
-      WireErrorCode(ServeErrorCode::kMalformedFrame);
-  for (;;) {
-    // Before blocking on the next header, flush accepted work if the
-    // client has nothing more buffered — a pipelining client that is now
-    // waiting for answers must get them, while a mid-burst client keeps
-    // coalescing into the current batch window.
-    if (!pending.empty()) {
-      char probe;
-      const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-      if (n == 0) break;  // EOF
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (!flush_pending()) break;
-        } else if (errno != EINTR) {
-          break;
-        }
-      }
-    }
-
-    char header[kFrameHeaderBytes];
-    if (!RecvAll(fd, header, sizeof(header))) break;
-    tm.bytes_in->Increment(sizeof(header));
-    FrameType type;
-    std::uint32_t payload_len = 0;
-    if (!ParseFrameHeader(header, &type, &payload_len, &error)) {
-      // Hostile length or unknown type: framing is lost (or the peer
-      // speaks a future dialect) — report and hang up, nothing to resync.
-      flush_pending();
-      send_frame(EncodeErrorFrame(0, malformed, error));
-      ::close(fd);
-      return;
-    }
-    const std::shared_ptr<std::vector<char>> buffer = pool.Take(payload_len);
-    if (payload_len > 0) {
-      if (!RecvAll(fd, buffer->data(), payload_len)) break;
-      tm.bytes_in->Increment(payload_len);
-    }
-
-    if (type == FrameType::kRequest) {
-      ServeRequest request;
-      if (!ParseRequestPayload(buffer->data(), payload_len, &request,
-                               &error)) {
-        // Payload defect with framing intact: coded error (with whatever
-        // id offset 0..7 yielded), keep serving — the binary analogue of a
-        // malformed JSON line.
-        flush_pending();
-        send_frame(EncodeErrorFrame(request.id, malformed, error));
-        continue;
-      }
-      // Pin the frame buffer for the request's lifetime: the feature view
-      // aliases it, and the batcher may not run the GEMM until long after
-      // the next frame overwrites... nothing — Take() skips pinned
-      // buffers, so the gather always reads the bytes this frame carried.
-      request.frame_pin =
-          std::shared_ptr<const void>(buffer, buffer->data());
-      request.trace = obs::TraceRecorder::Global().MaybeStart(
-          request.id, obs::kTransportBinary);
+  for (Inbound message; open && next(&message); message = Inbound{}) {
+    ServeRequest& request = message.request;
+    if (message.kind == Inbound::Kind::kQuery) {
+      request.trace =
+          obs::TraceRecorder::Global().MaybeStart(request.id,
+                                                  socket->transport());
       const std::int64_t id = request.id;
       auto trace = request.trace;
       try {
         pending.push_back(
             {id, server->QueryAsync(std::move(request)), std::move(trace)});
-      } catch (const ServeError& e) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(id, WireErrorCode(e.code()), e.what()));
-      } catch (const std::exception& e) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(id, 0, e.what()));
+      } catch (...) {
+        // Admission rejection (overloaded / draining / invalid): answered
+        // at once, coded where it has a code, so a client backs off
+        // instead of hanging.
+        flush();
+        send(EncodeCurrentException(*codec, id));
       }
       continue;
     }
-    if (type == FrameType::kAdmin) {
-      AdminVerb verb;
-      std::string model, path;
-      if (!ParseAdminPayload(buffer->data(), payload_len, &verb, &model,
-                             &path, &error)) {
-        flush_pending();
-        send_frame(EncodeErrorFrame(0, malformed, error));
-        continue;
+    flush();
+    if (message.kind == Inbound::Kind::kAdmin) {
+      if (message.command == WireCommand::kQuit) break;
+      std::string reply;
+      try {
+        reply = codec->EncodeAdminReply(message.command,
+                                        AdminBody(server, message));
+      } catch (...) {
+        // Coded refusal (budget_exhausted) or prose (bad path).
+        reply = EncodeCurrentException(*codec, request.id);
       }
-      flush_pending();
-      switch (verb) {
-        case AdminVerb::kStats:
-          send_frame(EncodeAdminReplyFrame(server->StatsJson()));
-          break;
-        case AdminVerb::kListModels:
-          send_frame(EncodeAdminReplyFrame(server->ListModelsJson()));
-          break;
-        case AdminVerb::kMetrics:
-          // Reply payload is the Prometheus text exposition, byte-for-byte
-          // the JSON transport's answer (one exposition, two framings).
-          send_frame(EncodeAdminReplyFrame(server->MetricsText()));
-          break;
-        case AdminVerb::kTrace:
-          send_frame(EncodeAdminReplyFrame(
-              obs::TraceRecorder::Global().TracesJson()));
-          break;
-        case AdminVerb::kPublish:
-          try {
-            send_frame(EncodeAdminReplyFrame(
-                server->PublishFromFile(model, path)));
-          } catch (const ServeError& e) {
-            // Coded refusal — budget_exhausted crosses the binary
-            // transport as its fixed integer, like every other code.
-            send_frame(
-                EncodeErrorFrame(0, WireErrorCode(e.code()), e.what()));
-          } catch (const std::exception& e) {
-            send_frame(EncodeErrorFrame(0, 0, e.what()));
-          }
-          break;
-        case AdminVerb::kBudget:
-          send_frame(EncodeAdminReplyFrame(server->BudgetJson()));
-          break;
-        case AdminVerb::kDrain:
-          server->BeginDrain();
-          send_frame(EncodeAdminReplyFrame("{\"draining\": true}"));
-          break;
-        case AdminVerb::kQuit:
-          ::close(fd);
-          return;
-      }
-      continue;
+      send(reply);
+    } else {
+      send(codec->EncodeError(request.id, message.code, message.error));
+      if (message.kind == Inbound::Kind::kFatal) break;
     }
-    // A server-to-client frame type arriving at the server is a protocol
-    // violation, not a recoverable payload defect — hang up.
-    flush_pending();
-    send_frame(EncodeErrorFrame(
-        0, malformed,
-        "unexpected frame type (clients send requests and "
-        "admin frames only)"));
-    ::close(fd);
-    return;
   }
-  flush_pending();
-  ::close(fd);
+  flush();
 }
 
 /// Transport dispatch: peek the first byte without consuming it. A binary
 /// client's hello starts with kFramePreamble (0xC0), which no JSON line
-/// can; everything else flows to the newline-JSON loop untouched.
+/// can; everything else is newline JSON.
 void ServeConnection(InferenceServer* server, int fd) {
   unsigned char first = 0;
-  for (;;) {
-    const ssize_t n =
-        ::recv(fd, reinterpret_cast<char*>(&first), 1, MSG_PEEK);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {  // EOF, dead socket, or SO_RCVTIMEO before any byte
-      ::close(fd);
-      return;
-    }
-    break;
-  }
+  ssize_t n;
+  do {
+    n = ::recv(fd, &first, 1, MSG_PEEK);
+  } while (n < 0 && errno == EINTR);
+  if (n <= 0) return;  // EOF, dead socket, or SO_RCVTIMEO before any byte
   if (first == kFramePreamble) {
-    ServeBinaryConnection(server, fd);
+    Socket socket(fd, obs::kTransportBinary);
+    FrameCodec codec(&socket);
+    if (codec.Handshake()) RunConnection(server, &socket, &codec);
   } else {
-    ServeJsonConnection(server, fd);
+    Socket socket(fd, obs::kTransportJson);
+    LineCodec codec(&socket);
+    RunConnection(server, &socket, &codec);
   }
 }
 
@@ -899,10 +853,18 @@ int RunTcpServer(InferenceServer* server, int port,
   io_timeout.tv_sec = io_timeout_ms / 1000;
   io_timeout.tv_usec = (io_timeout_ms % 1000) * 1000;
 
-  // Connection threads are detached and counted: a long-running server
-  // must reclaim each thread's stack when its client disconnects, not
-  // accumulate joinable handles until shutdown.
-  auto active = std::make_shared<std::atomic<int>>(0);
+  // Connection threads are detached (a long-running server reclaims each
+  // thread's stack when its client leaves) and their fds registered, so
+  // shutdown can half-close them: SHUT_RD wakes a thread parked in recv
+  // on an idle client with EOF at once, instead of after io_timeout_ms.
+  // A thread deregisters and closes its fd under the lock, so shutdown
+  // never touches a closed (or reused) descriptor.
+  struct OpenConnections {
+    std::mutex mu;
+    std::condition_variable closed;
+    std::set<int> fds;
+  };
+  const auto connections = std::make_shared<OpenConnections>();
   int backoff_ms = 1;
   for (;;) {
     if (shutdown != nullptr && shutdown->load(std::memory_order_acquire)) {
@@ -938,18 +900,30 @@ int RunTcpServer(InferenceServer* server, int port,
                  sizeof(io_timeout));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &io_timeout,
                  sizeof(io_timeout));
-    active->fetch_add(1, std::memory_order_acq_rel);
-    std::thread([server, fd, active] {
+    // Answers go out as soon as they are flushed, not held back by Nagle
+    // until the client's ACK of the previous segment.
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    {
+      std::lock_guard<std::mutex> lock(connections->mu);
+      connections->fds.insert(fd);
+    }
+    std::thread([server, fd, connections] {
       ServeConnection(server, fd);
-      active->fetch_sub(1, std::memory_order_acq_rel);
+      {
+        std::lock_guard<std::mutex> lock(connections->mu);
+        connections->fds.erase(fd);
+        ::close(fd);
+      }
+      connections->closed.notify_all();
     }).detach();
   }
   ::close(listen_fd);
-  // Clean shutdown: the detached handlers borrow `server`; wait for every
-  // open connection to finish before handing control back.
-  while (active->load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Clean shutdown: stop reading every open connection, then wait for each
+  // to answer what it already accepted and close — the detached handlers
+  // borrow `server`.
+  std::unique_lock<std::mutex> lock(connections->mu);
+  for (const int fd : connections->fds) ::shutdown(fd, SHUT_RD);
+  connections->closed.wait(lock, [&] { return connections->fds.empty(); });
   return 0;
 }
 

@@ -28,8 +28,9 @@
 // the port, negotiated from the connection's first byte: newline-JSON
 // (serve/wire.h — the admin/debug transport) and length-prefixed binary
 // frames (serve/frame.h — the fast path, whose f32 feature payloads are
-// gathered into the GEMM panel without a copy or a text round-trip). Both
-// answer identical bits. It exists to demonstrate and smoke-test the
+// gathered into the GEMM panel without a copy or a text round-trip). Each
+// is a codec under one connection state machine, so both answer identical
+// bits in the same order. It exists to demonstrate and smoke-test the
 // deployment story end to end, not to be a production RPC stack.
 #ifndef GCON_SERVE_SERVER_H_
 #define GCON_SERVE_SERVER_H_
@@ -45,7 +46,7 @@
 #include "dp/budget_ledger.h"
 #include "serve/batcher.h"
 #include "serve/inference_session.h"
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 #include "serve/router.h"
 
 namespace gcon {
@@ -198,9 +199,10 @@ class InferenceServer {
 /// survived, never fatal; every accepted socket gets
 /// ServeOptions.io_timeout_ms read/write timeouts so a stalled client is
 /// disconnected instead of pinning its thread; writes are SIGPIPE-safe.
-/// Returns 0 on clean shutdown (callers then Drain() the server to flush
-/// accepted queries); throws std::runtime_error on socket setup failure
-/// (port in use, ...).
+/// When `shutdown` flips, every open connection stops reading (SHUT_RD),
+/// answers the queries it already accepted and closes; returns 0 once all
+/// have (callers then Drain() the server). Throws std::runtime_error on
+/// socket setup failure (port in use, ...).
 int RunTcpServer(InferenceServer* server, int port,
                  const std::atomic<bool>* shutdown = nullptr,
                  std::atomic<int>* bound_port = nullptr);

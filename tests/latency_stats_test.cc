@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 
 namespace gcon {
 namespace {

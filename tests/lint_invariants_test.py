@@ -37,6 +37,7 @@ EXPECTED = [
     ("serve-zero-copy", "src/serve/copies_feature_view.cc"),
     ("no-hot-path-logging", "src/linalg/hot_log.cc"),
     ("no-hot-path-logging", "src/serve/batcher.cc"),
+    ("obs-no-serve-include", "src/obs/includes_serve.cc"),
 ]
 
 
@@ -95,6 +96,12 @@ class LintInvariantsTest(unittest.TestCase):
                         if f["rule"] == "no-hot-path-logging"]
         self.assertEqual(len(hot_log_hits), 2)
         self.assertNotIn("src/core/cold_log.cc", files)
+        # obs-no-serve-include: the live serve/ include only — not the
+        # obs/ include beside it, nor the commented-out copy.
+        layering_hits = [f for f in payload["findings"]
+                         if f["rule"] == "obs-no-serve-include"]
+        self.assertEqual(len(layering_hits), 1)
+        self.assertIn("serve/batcher.h", layering_hits[0]["text"])
 
     def test_waiver_suppresses_exactly_one_finding(self):
         waivers = write_waivers([{
@@ -143,6 +150,9 @@ class LintInvariantsTest(unittest.TestCase):
              "contains": "fringe tile", "reason": "fixture"},
             {"rule": "no-hot-path-logging", "file": "src/serve/batcher.cc",
              "contains": "dispatching batch", "reason": "fixture"},
+            {"rule": "obs-no-serve-include",
+             "file": "src/obs/includes_serve.cc",
+             "contains": "serve/batcher.h", "reason": "fixture"},
         ]
         waivers = write_waivers(entries)
         try:

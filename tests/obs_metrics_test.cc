@@ -15,7 +15,7 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 
 namespace gcon {
 namespace obs {

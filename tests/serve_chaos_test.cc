@@ -6,8 +6,10 @@
 // the rejected query gets its coded ServeError, every *other* query gets
 // its bitwise-offline answer, and the process keeps serving afterwards.
 //
-// Also home to the Stop-racing-Submit and drain lifecycle tests — the
-// shutdown races the sanitizer matrix (TSan in particular) must see.
+// Also home to the Stop-racing-Submit, drain and TCP shutdown lifecycle
+// tests — the shutdown races the sanitizer matrix (TSan in particular)
+// must see — and to the connection-loop scenarios run on both transports
+// (torn socket, half-closed client).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -32,6 +34,7 @@
 #include "serve_test_util.h"
 #include "serve/batcher.h"
 #include "serve/fault_injection.h"
+#include "serve/frame.h"
 #include "serve/inference_session.h"
 #include "serve/serve_error.h"
 #include "serve/server.h"
@@ -286,7 +289,7 @@ TEST_F(ServeChaosTest, PublishRejectsDifferentPopulation) {
   }
 }
 
-// --- Torn socket -----------------------------------------------------------
+// --- Connections over real TCP --------------------------------------------
 
 /// Minimal blocking client for the TCP chaos scenarios.
 class RawClient {
@@ -305,8 +308,7 @@ class RawClient {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
-  void SendLine(const std::string& line) {
-    const std::string data = line + "\n";
+  void Send(const std::string& data) {
     std::size_t sent = 0;
     while (sent < data.size()) {
       const ssize_t n =
@@ -315,15 +317,31 @@ class RawClient {
       sent += static_cast<std::size_t>(n);
     }
   }
+  void SendLine(const std::string& line) { Send(line + "\n"); }
+  /// Half-close: the server reads EOF after everything already sent.
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
   /// Reads until EOF; returns everything received (possibly a torn line).
   std::string ReadAll() {
-    std::string data;
+    std::string data = std::move(buffer_);
+    buffer_.clear();
     char chunk[4096];
     for (;;) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return data;
       data.append(chunk, static_cast<std::size_t>(n));
     }
+  }
+  /// Exactly `want` bytes, or fewer if EOF comes first.
+  std::string ReadExact(std::size_t want) {
+    while (buffer_.size() < want) {
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+    const std::string out = buffer_.substr(0, want);
+    buffer_.erase(0, out.size());
+    return out;
   }
   /// Next full line (without newline); "" on EOF.
   std::string ReadLine() {
@@ -360,12 +378,19 @@ class TcpChaos {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  ~TcpChaos() {
-    shutdown_.store(true, std::memory_order_release);
-    listener_.join();
-  }
+  ~TcpChaos() { Shutdown(); }
   int port() const { return port_.load(std::memory_order_acquire); }
   InferenceServer& server() { return server_; }
+
+  /// Flips the shutdown flag and returns how long RunTcpServer then took
+  /// to return (zero when it already has).
+  std::chrono::steady_clock::duration Shutdown() {
+    if (!listener_.joinable()) return {};
+    const auto start = std::chrono::steady_clock::now();
+    shutdown_.store(true, std::memory_order_release);
+    listener_.join();
+    return std::chrono::steady_clock::now() - start;
+  }
 
  private:
   InferenceServer server_;
@@ -374,7 +399,50 @@ class TcpChaos {
   std::atomic<int> port_{0};
 };
 
-TEST_F(ServeChaosTest, TornSocketMidResponseLeavesServerServing) {
+enum class Transport { kJson, kBinary };
+
+/// The transport's opening: nothing for JSON, the hello exchange for
+/// binary frames.
+void Open(RawClient* client, Transport transport) {
+  ASSERT_TRUE(client->connected());
+  if (transport == Transport::kBinary) {
+    client->Send(EncodeHello(kFrameVersion));
+    ASSERT_EQ(client->ReadExact(kFrameHelloBytes), EncodeHello(kFrameVersion));
+  }
+}
+
+/// One node query in the transport's encoding.
+std::string QueryBytes(Transport transport, std::int64_t id, int node) {
+  if (transport == Transport::kJson) {
+    return "{\"id\": " + std::to_string(id) +
+           ", \"node\": " + std::to_string(node) + "}\n";
+  }
+  ServeRequest request;
+  request.id = id;
+  request.node = node;
+  return EncodeRequestFrame(request);
+}
+
+/// The exact bytes the server answers that query with: the offline row.
+std::string AnswerBytes(Transport transport, const Matrix& offline,
+                        std::int64_t id, int node) {
+  ServeResponse expected;
+  expected.id = id;
+  expected.node = node;
+  const auto row = static_cast<std::size_t>(node);
+  expected.label = static_cast<int>(RowArgMax(offline, row));
+  expected.logits = offline.RowCopy(row);
+  return transport == Transport::kJson ? FormatWireResponse(expected) + "\n"
+                                       : EncodeResponseFrame(expected);
+}
+
+/// Connection-loop scenarios that must hold on both transports.
+class ServeChaosTransportTest : public ServeChaosTest,
+                                public ::testing::WithParamInterface<Transport> {
+};
+
+TEST_P(ServeChaosTransportTest, TornSocketMidResponseLeavesServerServing) {
+  const Transport transport = GetParam();
   const Graph graph = TestGraph();
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 59);
   const Matrix offline = artifact.Infer(graph);
@@ -382,32 +450,112 @@ TEST_F(ServeChaosTest, TornSocketMidResponseLeavesServerServing) {
   options.threads = 2;
   TcpChaos tcp(artifact, graph, options);
 
-  FaultInjector::Global().Arm(Fault::kTornSocket, 1);
   {
     RawClient victim(tcp.port());
-    ASSERT_TRUE(victim.connected());
-    victim.SendLine("{\"id\": 1, \"node\": 4}");
-    // The injected tear delivers half the response line, then kills the
+    Open(&victim, transport);
+    // Armed after the opening, so the tear hits the response.
+    FaultInjector::Global().Arm(Fault::kTornSocket, 1);
+    victim.Send(QueryBytes(transport, 1, 4));
+    // The injected tear delivers half the response, then kills the
     // connection: the client sees a strict prefix of the real answer, then
     // EOF — and the server side must shrug, not crash or wedge.
-    ServeResponse expected;
-    expected.id = 1;
-    expected.node = 4;
-    expected.label = static_cast<int>(RowArgMax(offline, 4));
-    expected.logits = offline.RowCopy(4);
-    const std::string full = FormatWireResponse(expected) + "\n";
+    const std::string full = AnswerBytes(transport, offline, 1, 4);
     const std::string torn = victim.ReadAll();
     EXPECT_LT(torn.size(), full.size());
     EXPECT_EQ(full.compare(0, torn.size(), torn), 0)
         << "torn bytes are not a prefix of the real response";
-    EXPECT_EQ(torn.find('\n'), std::string::npos) << torn;
+    if (transport == Transport::kJson) {
+      EXPECT_EQ(torn.find('\n'), std::string::npos) << torn;
+    }
   }
   // A fresh connection gets clean, bitwise-offline service.
   RawClient survivor(tcp.port());
-  ASSERT_TRUE(survivor.connected());
-  survivor.SendLine("{\"id\": 2, \"node\": 4}");
-  const std::string line = survivor.ReadLine();
-  EXPECT_EQ(line.rfind("{\"id\": 2, \"node\": 4, ", 0), 0u) << line;
+  Open(&survivor, transport);
+  survivor.Send(QueryBytes(transport, 2, 4));
+  const std::string expected = AnswerBytes(transport, offline, 2, 4);
+  EXPECT_EQ(survivor.ReadExact(expected.size()), expected);
+}
+
+TEST_P(ServeChaosTransportTest, HalfClosedClientGetsEveryAnswerThenEof) {
+  // A client that pipelines a burst and then shuts its write side still
+  // gets every answer, in order: EOF ends reading, never answering.
+  const Transport transport = GetParam();
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 67);
+  const Matrix offline = artifact.Infer(graph);
+  ServeOptions options;
+  options.threads = 2;
+  options.max_batch = 4;
+  TcpChaos tcp(artifact, graph, options);
+
+  RawClient client(tcp.port());
+  Open(&client, transport);
+  std::string burst;
+  std::string expected;
+  for (int q = 0; q < 8; ++q) {
+    burst += QueryBytes(transport, 100 + q, q);
+    expected += AnswerBytes(transport, offline, 100 + q, q);
+  }
+  client.Send(burst);
+  client.ShutdownWrite();
+  EXPECT_EQ(client.ReadAll(), expected);  // all eight, in order, then EOF
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ServeChaosTransportTest,
+    ::testing::Values(Transport::kJson, Transport::kBinary),
+    [](const ::testing::TestParamInfo<Transport>& info) {
+      return info.param == Transport::kJson ? "json" : "binary";
+    });
+
+TEST_F(ServeChaosTest, ShutdownClosesIdleConnectionsAndAnswersInFlight) {
+  // Shutdown must not wait out io_timeout_ms (30 s by default) on clients
+  // that are connected but silent: RunTcpServer stops reading every
+  // connection at once, and still answers a query it already accepted.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 71);
+  const Matrix offline = artifact.Infer(graph);
+  ServeOptions options;
+  options.threads = 1;
+  TcpChaos tcp(artifact, graph, options);
+
+  RawClient idle_json(tcp.port());
+  Open(&idle_json, Transport::kJson);
+  idle_json.Send(QueryBytes(Transport::kJson, 1, 3));
+  const std::string json_answer = AnswerBytes(Transport::kJson, offline, 1, 3);
+  ASSERT_EQ(idle_json.ReadExact(json_answer.size()), json_answer);
+  RawClient idle_binary(tcp.port());
+  Open(&idle_binary, Transport::kBinary);
+
+  // The third client's query is accepted, then held inside its batch until
+  // the shutdown pass has run.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  FaultInjector::Global().SetCallback(Fault::kSwapDuringBatch, [&] {
+    entered.set_value();
+    released.wait();
+  });
+  FaultInjector::Global().Arm(Fault::kSwapDuringBatch, 1);
+  RawClient busy(tcp.port());
+  Open(&busy, Transport::kJson);
+  busy.Send(QueryBytes(Transport::kJson, 2, 5));
+  ASSERT_EQ(entered.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+
+  std::thread releaser([&] {
+    // Past the accept loop's 200 ms shutdown poll.
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    release.set_value();
+  });
+  const auto took_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           tcp.Shutdown())
+                           .count();
+  releaser.join();
+  EXPECT_LT(took_ms, 2000) << "RunTcpServer waited on idle connections";
+  EXPECT_EQ(busy.ReadAll(), AnswerBytes(Transport::kJson, offline, 2, 5));
+  EXPECT_EQ(idle_json.ReadAll(), "");
+  EXPECT_EQ(idle_binary.ReadAll(), "");
 }
 
 // --- Drain lifecycle -------------------------------------------------------

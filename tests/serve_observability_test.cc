@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -65,6 +66,7 @@ class WireClient {
       ASSERT_GT(n, 0) << "send failed";
       sent += static_cast<std::size_t>(n);
     }
+    bytes_sent_ += data.size();
   }
 
   /// Next response line (without the newline); "" on EOF.
@@ -80,6 +82,7 @@ class WireClient {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return "";
       buffer_.append(chunk, static_cast<std::size_t>(n));
+      bytes_received_ += static_cast<std::size_t>(n);
     }
   }
 
@@ -96,9 +99,20 @@ class WireClient {
     }
   }
 
+  /// Sends `quit` and reads to EOF: the server closes only after counting
+  /// every byte it moved on this connection.
+  void Quit() {
+    SendLine("{\"cmd\": \"quit\"}");
+    EXPECT_EQ(ReadLine(), "");
+  }
+  std::size_t bytes_sent() const { return bytes_sent_; }
+  std::size_t bytes_received() const { return bytes_received_; }
+
  private:
   int fd_ = -1;
   std::string buffer_;
+  std::size_t bytes_sent_ = 0;
+  std::size_t bytes_received_ = 0;
 };
 
 /// Blocking frame-oriented client (the binary transport), same idiom as
@@ -129,6 +143,7 @@ class FrameClient {
       ASSERT_GT(n, 0) << "send failed";
       sent += static_cast<std::size_t>(n);
     }
+    bytes_sent_ += data.size();
   }
 
   std::string Hello(std::uint16_t version = kFrameVersion) {
@@ -149,6 +164,14 @@ class FrameClient {
     return payload->size() == len;
   }
 
+  /// Sends the quit verb and reads to EOF (see WireClient::Quit).
+  void Quit() {
+    Send(EncodeAdminFrame(AdminVerb::kQuit));
+    EXPECT_EQ(ReadExact(1), "");
+  }
+  std::size_t bytes_sent() const { return bytes_sent_; }
+  std::size_t bytes_received() const { return bytes_received_; }
+
  private:
   std::string ReadExact(std::size_t want) {
     while (buffer_.size() < want) {
@@ -160,6 +183,7 @@ class FrameClient {
         return partial;
       }
       buffer_.append(chunk, static_cast<std::size_t>(n));
+      bytes_received_ += static_cast<std::size_t>(n);
     }
     const std::string out = buffer_.substr(0, want);
     buffer_.erase(0, want);
@@ -168,6 +192,8 @@ class FrameClient {
 
   int fd_ = -1;
   std::string buffer_;
+  std::size_t bytes_sent_ = 0;
+  std::size_t bytes_received_ = 0;
 };
 
 /// Arms the GLOBAL trace recorder for one test and guarantees it is
@@ -187,6 +213,34 @@ double SeriesValue(const std::string& exposition, const std::string& series) {
   const std::size_t pos = padded.find(needle);
   if (pos == std::string::npos) return -1.0;
   return std::stod(padded.substr(pos + needle.size()));
+}
+
+/// One transport's connection and byte counters, read in-process so the
+/// read itself moves no wire bytes.
+struct TransportTally {
+  double connections, bytes_in, bytes_out;
+};
+
+TransportTally ReadTally(InferenceServer* server, const std::string& name) {
+  const std::string exposition = server->MetricsText();
+  const std::string bytes = "gcon_serve_bytes_total{transport=\"" + name +
+                            "\",direction=";
+  return {SeriesValue(exposition, "gcon_serve_connections_total{transport=\"" +
+                                      name + "\"}"),
+          SeriesValue(exposition, bytes + "\"in\"}"),
+          SeriesValue(exposition, bytes + "\"out\"}")};
+}
+
+/// The counters moved by exactly one connection and exactly the bytes its
+/// client sent and received.
+void ExpectTallyDelta(const TransportTally& before, const TransportTally& after,
+                      std::size_t sent, std::size_t received) {
+  EXPECT_DOUBLE_EQ(std::max(before.connections, 0.0) + 1.0, after.connections);
+  EXPECT_DOUBLE_EQ(std::max(before.bytes_in, 0.0) + static_cast<double>(sent),
+                   after.bytes_in);
+  EXPECT_DOUBLE_EQ(
+      std::max(before.bytes_out, 0.0) + static_cast<double>(received),
+      after.bytes_out);
 }
 
 /// Same two-model fixture as the conformance suites: "default" and "alt"
@@ -237,6 +291,7 @@ class ServeObservabilityTest : public ::testing::Test {
 };
 
 TEST_F(ServeObservabilityTest, JsonMetricsVerbCountsAcceptedQueries) {
+  const TransportTally tally_before = ReadTally(server_.get(), "json");
   WireClient client(port());
   // The global registry is cumulative across the process, so assert on the
   // DELTA between two scrapes bracketing a known amount of traffic.
@@ -273,9 +328,15 @@ TEST_F(ServeObservabilityTest, JsonMetricsVerbCountsAcceptedQueries) {
   EXPECT_NE(after.find("gcon_serve_queue_peak{model=\"default\"}"),
             std::string::npos)
       << after;
+
+  // The transport counters saw this one connection, byte for byte.
+  client.Quit();
+  ExpectTallyDelta(tally_before, ReadTally(server_.get(), "json"),
+                   client.bytes_sent(), client.bytes_received());
 }
 
 TEST_F(ServeObservabilityTest, BinaryMetricsVerbAnswersTheSameExposition) {
+  const TransportTally tally_before = ReadTally(server_.get(), "binary");
   FrameClient client(port());
   ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
   client.Send(EncodeAdminFrame(AdminVerb::kMetrics));
@@ -293,6 +354,17 @@ TEST_F(ServeObservabilityTest, BinaryMetricsVerbAnswersTheSameExposition) {
   EXPECT_NE(payload.find("gcon_dp_epsilon{model=\"default\"}"),
             std::string::npos)
       << payload;
+
+  // A query too, then the counters against what the client moved.
+  ServeRequest request;
+  request.id = 5;
+  request.node = 3;
+  client.Send(EncodeRequestFrame(request));
+  ASSERT_TRUE(client.ReadFrame(&type, &payload));
+  EXPECT_EQ(type, FrameType::kResponse);
+  client.Quit();
+  ExpectTallyDelta(tally_before, ReadTally(server_.get(), "binary"),
+                   client.bytes_sent(), client.bytes_received());
 }
 
 TEST_F(ServeObservabilityTest, JsonTraceVerbServesSampledSpanTimelines) {

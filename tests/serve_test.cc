@@ -24,7 +24,7 @@
 #include "serve_test_util.h"
 #include "serve/batcher.h"
 #include "serve/inference_session.h"
-#include "serve/latency_stats.h"
+#include "obs/latency_stats.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 

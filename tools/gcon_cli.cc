@@ -54,9 +54,11 @@
 //            unbounded): a full queue rejects with a coded "overloaded"
 //            error line instead of growing without bound, and stalled
 //            clients are disconnected after --io_timeout_ms. Runs until
-//            SIGTERM/SIGINT, then drains: admission stops, every accepted
-//            query is answered, the workers exit. The "publish" wire verb
-//            hot-swaps a served artifact in place without a restart.
+//            SIGTERM/SIGINT, then stops reading every open connection at
+//            once (idle clients are not waited for), answers every query
+//            already accepted, and drains: the workers exit. The
+//            "publish" wire verb hot-swaps a served artifact in place
+//            without a restart.
 //            --port=0 picks an ephemeral port (printed).
 //            --budget-ledger names a persistent privacy-budget ledger
 //            (dp/budget_ledger.h): cumulative per-model epsilon survives
@@ -330,9 +332,10 @@ std::vector<ServeModelFlag> ParseServeModels(
   return models;
 }
 
-// SIGTERM/SIGINT flip this flag; the accept loop polls it every 200ms and
-// returns, after which CmdServe drains the server (admission closed, every
-// accepted query answered) before exiting. An atomic<bool> store is
+// SIGTERM/SIGINT flip this flag; the accept loop polls it every 200ms,
+// half-closes every open connection (each answers what it accepted, then
+// closes) and returns, after which CmdServe drains the server before
+// exiting. An atomic<bool> store is
 // async-signal-safe; anything fancier in a handler is not.
 std::atomic<bool> g_serve_shutdown{false};
 

@@ -59,6 +59,11 @@ violation before it becomes a silent race or a broken memcmp proof:
                       src/obs/trace.cc where it fires only on sampled,
                       already-slow requests. Waiverable for a genuine
                       cold-path diagnostic.
+  obs-no-serve-include
+                      No `#include "serve/..."` under src/obs/. The
+                      observability tier sits below serving: serve/
+                      instruments itself through obs/, and an include the
+                      other way inverts the layering.
 
 Checks run on comment-stripped text (string literals are preserved), so a
 doc comment *describing* a forbidden pattern does not trip the gate.
@@ -171,6 +176,15 @@ RULES = [
         "scan": ["src"],
         "allow": [],
         "only": ["src/serve/batcher.cc", "src/linalg/"],
+    },
+    {
+        "id": "obs-no-serve-include",
+        "summary": "serving header included under src/obs/ (obs/ sits "
+                   "below serve/; the dependency runs one way)",
+        "pattern": re.compile(r"#\s*include\s+\"serve/"),
+        "scan": ["src"],
+        "allow": [],
+        "only": ["src/obs/"],
     },
 ]
 
