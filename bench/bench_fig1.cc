@@ -33,10 +33,10 @@
 
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "eval/experiment.h"
-#include "eval/parallel.h"
 #include "model/adapters.h"
 
 namespace gcon {

@@ -16,9 +16,9 @@
 
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
-#include "eval/parallel.h"
 #include "graph/stats.h"
 #include "model/adapters.h"
 #include "rng/rng.h"

@@ -36,7 +36,7 @@ struct BenchSettings {
   double scale = 0.25;
   int runs = 2;
   bool full = false;
-  int threads = 1;  ///< cell-level fan-out (eval/parallel.h semantics)
+  int threads = 1;  ///< cell-level fan-out (common/parallel.h semantics)
 };
 
 /// Reads the env knobs described above.

@@ -6,7 +6,7 @@
 //
 // The grid cells (one per epsilon, plus the floor and ceiling) are
 // mutually independent, so --threads fans them out across the worker pool
-// (eval/parallel.h). Every cell is a deterministic function of its seeds
+// (common/parallel.h). Every cell is a deterministic function of its seeds
 // and writes only its own slot: the printed table is bitwise identical for
 // any thread count.
 //
@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
-#include "eval/parallel.h"
 #include "graph/datasets.h"
 #include "model/adapters.h"
 

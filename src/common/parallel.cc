@@ -1,4 +1,4 @@
-#include "eval/parallel.h"
+#include "common/parallel.h"
 
 #include <exception>
 
@@ -6,8 +6,9 @@ namespace gcon {
 namespace {
 
 // True while the current thread is executing inside a WorkerPool job
-// (as the caller or as a pool worker). A nested Run on such a thread must
-// not wait on job_mu_ — the outer job holds it — so it runs inline.
+// (as the caller or as a pool worker). A nested Run on such a thread runs
+// inline without touching job_mu_: the outer job may hold it on this very
+// thread, and try_lock on a mutex the thread owns is undefined.
 thread_local bool t_inside_pool_job = false;
 
 }  // namespace
@@ -84,14 +85,15 @@ void WorkerPool::WorkerMain() {
 void WorkerPool::Run(int n, int threads, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   if (threads > n) threads = n;
-  if (threads <= 1 || t_inside_pool_job) {
-    // Sequential degeneration, and the nested case: the outer job owns
-    // job_mu_, so run the indices on this thread in order.
+  // Inline, in order: the sequential degeneration, the nested case (see
+  // t_inside_pool_job; the || keeps try_lock off a mutex this thread may
+  // own), and a pool busy with another caller's job, which this caller
+  // must not wait for.
+  std::unique_lock<std::mutex> job_lock(job_mu_, std::defer_lock);
+  if (threads <= 1 || t_inside_pool_job || !job_lock.try_lock()) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-
-  std::lock_guard<std::mutex> job_lock(job_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     EnsureWorkersLocked(threads - 1);
@@ -124,14 +126,13 @@ void WorkerPool::Run(int n, int threads, const std::function<void(int)>& fn) {
 }
 
 void ParallelFor(int n, int threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  threads = ResolveThreads(threads);
-  if (threads > n) threads = n;
-  if (threads <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  WorkerPool::Global().Run(n, threads, fn);
+  WorkerPool::Global().Run(n, ResolveThreads(threads), fn);
+}
+
+void ParallelBlocks(int blocks, std::int64_t work,
+                    const std::function<void(int)>& block) {
+  // One thread runs the blocks inline, in order; 0 is the hardware count.
+  ParallelFor(blocks, work < kParallelMinWork ? 1 : 0, block);
 }
 
 }  // namespace gcon

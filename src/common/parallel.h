@@ -1,5 +1,10 @@
-// Deterministic worker pool for embarrassingly parallel experiment loops
-// and long-lived serving workers.
+// The process's one thread runtime: a deterministic worker pool for the
+// linalg/sparse kernels, the embarrassingly parallel experiment loops, and
+// long-lived serving workers.
+//
+// Kernels split a product into fixed blocks and hand them to
+// ParallelBlocks, which alone decides inline or pool. Each output element
+// belongs to one block, so results are bitwise identical either way.
 //
 // The repeat/sweep drivers (RunMethodRepeated, the bench_fig1/bench_table2
 // cell loops, the epsilon_sweep example) execute many independent units of
@@ -13,18 +18,17 @@
 //
 // The pool threads are persistent: they are spawned on first use (growing
 // on demand up to the largest concurrency ever requested) and parked on a
-// condition variable between jobs, so a sweep driver's back-to-back
-// ParallelFor calls pay a wakeup instead of a thread spawn. This retires
-// the old per-call std::thread-spawning implementation. (The serving
-// tier's batch workers in src/serve/batcher.h are separately resident —
-// they park on the request queue, a different wait discipline.)
+// condition variable between jobs, so back-to-back jobs pay a wakeup
+// instead of a thread spawn. (The serving tier's batch workers in
+// src/serve/batcher.h are separately resident — they park on the request
+// queue, a different wait discipline.)
 //
 // Exceptions: the first exception thrown by any fn(i) is captured, the
 // remaining indices are abandoned, the job is drained, and the exception
 // is rethrown on the calling thread — same observable contract as the
 // sequential loop, minus which index got to throw first.
-#ifndef GCON_EVAL_PARALLEL_H_
-#define GCON_EVAL_PARALLEL_H_
+#ifndef GCON_COMMON_PARALLEL_H_
+#define GCON_COMMON_PARALLEL_H_
 
 #include <atomic>
 #include <condition_variable>
@@ -41,11 +45,11 @@ namespace gcon {
 int ResolveThreads(int requested);
 
 /// A pool of resident worker threads executing fork-join index jobs.
-/// One job runs at a time (concurrent Run calls from distinct threads
-/// serialize); a Run issued from *inside* a running job executes inline on
-/// the calling thread instead of deadlocking on the job lock, so nested
-/// ParallelFor is safe (and sequential, which matches how the sweep
-/// drivers configure their inner loops).
+/// One job runs at a time. A Run that finds the pool busy — another
+/// caller's job, or its own enclosing job — executes its indices inline, in
+/// order, instead of waiting. So a kernel on a batcher worker, a connection
+/// thread or inside a ParallelFor unit never waits on another caller and
+/// never multiplies the thread count, and nested ParallelFor is safe.
 class WorkerPool {
  public:
   /// The process-wide pool every ParallelFor shares.
@@ -71,7 +75,7 @@ class WorkerPool {
   /// Pulls indices from next_ and runs fn until exhausted or failed.
   void Drain(int n, const std::function<void(int)>& fn);
 
-  /// Serializes Run callers (one job at a time).
+  /// Held by the caller whose job owns the pool (one job at a time).
   std::mutex job_mu_;
 
   /// Guards the job fields and worker bookkeeping below.
@@ -102,6 +106,23 @@ class WorkerPool {
 /// inline in index order.
 void ParallelFor(int n, int threads, const std::function<void(int)>& fn);
 
+/// Work, in inner-loop element operations (multiply-adds for products,
+/// element copies for Transpose), below which a kernel call runs inline.
+/// Measured pool vs inline on back-to-back calls, 4-vCPU 2 GHz AVX2 Xeon,
+/// gcc 12.2 Release: one GEMM k-slab is 0.7x at 2^17, 1.3x at 2^18 and
+/// 1.5-2.5x from 2^20 (BM_DenseGemm/256 and the 2,879-row
+/// BM_EncoderLayer0Dense/*/1 gradient are far above); SpMM is 1.4x at
+/// 2^16 and 1.8-2.5x from 2^18. MatVec and MatVecTransA, which no
+/// production path calls, break even only at 2^19-2^21.
+inline constexpr std::int64_t kParallelMinWork = 1 << 18;
+
+/// The kernels' entry point: runs block(i) for every i in [0, blocks),
+/// inline in index order when `work` is below kParallelMinWork, otherwise
+/// as ParallelFor at ResolveThreads(0). A block must write only output no
+/// other block writes.
+void ParallelBlocks(int blocks, std::int64_t work,
+                    const std::function<void(int)>& block);
+
 }  // namespace gcon
 
-#endif  // GCON_EVAL_PARALLEL_H_
+#endif  // GCON_COMMON_PARALLEL_H_

@@ -6,7 +6,7 @@
 #include <ostream>
 
 #include "common/check.h"
-#include "eval/parallel.h"
+#include "common/parallel.h"
 #include "model/adapters.h"
 #include "rng/rng.h"
 

@@ -71,7 +71,7 @@ struct RepeatOptions {
   /// where the propagation cache amortizes the per-run precomputation.
   bool share_data = false;
 
-  /// Worker threads the runs fan out across (eval/parallel.h): 1 (default)
+  /// Worker threads the runs fan out across (common/parallel.h): 1 (default)
   /// is the plain sequential loop, 0 means one per hardware thread. Every
   /// run owns its model instance and derives its Rng from base_seed + r, so
   /// the MethodRunSummary — per-run logits, metrics, and their order — is

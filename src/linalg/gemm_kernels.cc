@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -336,29 +337,28 @@ void GemmBlocked(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
       const bool first = (pc == 0);
       PackB(b, trans_b, pc, jc, kc, nc, bpack.data());
 
-      const std::int64_t ic_blocks =
-          static_cast<std::int64_t>((m + kGemmMC - 1) / kGemmMC);
-#pragma omp parallel
-      {
-        std::vector<double> apack(((kGemmMC + MR - 1) / MR) * kc * MR);
+      const std::size_t apack_size = ((kGemmMC + MR - 1) / MR) * kc * MR;
+      auto row_block = [&](int ib) {
+        // One A-panel scratch per thread, kept across blocks and calls.
+        thread_local std::vector<double> apack;
+        if (apack.size() < apack_size) apack.resize(apack_size);
         alignas(64) double acc[MR * NR];
-#pragma omp for schedule(dynamic)
-        for (std::int64_t ib = 0; ib < ic_blocks; ++ib) {
-          const std::size_t ic = static_cast<std::size_t>(ib) * kGemmMC;
-          const std::size_t mc = std::min(kGemmMC, m - ic);
-          const std::size_t i_strips = (mc + MR - 1) / MR;
-          PackA(a, trans_a, ic, pc, mc, kc, apack.data());
-          for (std::size_t js = 0; js < j_strips; ++js) {
-            const double* bs = bpack.data() + js * kc * NR;
-            const std::size_t cols = std::min(NR, nc - js * NR);
-            for (std::size_t is = 0; is < i_strips; ++is) {
-              kKernels.micro(kc, apack.data() + is * kc * MR, bs, acc);
-              WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
-                        first, c, ic + is * MR, jc + js * NR);
-            }
+        const std::size_t ic = static_cast<std::size_t>(ib) * kGemmMC;
+        const std::size_t mc = std::min(kGemmMC, m - ic);
+        const std::size_t i_strips = (mc + MR - 1) / MR;
+        PackA(a, trans_a, ic, pc, mc, kc, apack.data());
+        for (std::size_t js = 0; js < j_strips; ++js) {
+          const double* bs = bpack.data() + js * kc * NR;
+          const std::size_t cols = std::min(NR, nc - js * NR);
+          for (std::size_t is = 0; is < i_strips; ++is) {
+            kKernels.micro(kc, apack.data() + is * kc * MR, bs, acc);
+            WriteTile(acc, std::min(MR, mc - is * MR), cols, alpha, beta,
+                      first, c, ic + is * MR, jc + js * NR);
           }
         }
-      }
+      };
+      ParallelBlocks(static_cast<int>((m + kGemmMC - 1) / kGemmMC),
+                     static_cast<std::int64_t>(m * nc * kc), row_block);
     }
   }
 }

@@ -15,11 +15,12 @@
 // on any x86-64 (and non-x86 builds fall back to the portable kernel).
 //
 // Numerical contract: for a fixed build the k-accumulation order is fixed
-// (the pc loop is sequential; OpenMP only distributes disjoint C tiles), so
-// repeated calls on identical inputs are bitwise identical regardless of
-// thread count. Unlike the pre-blocking kernels there is NO zero-operand
-// short-circuit: a zero in A multiplied by a NaN/Inf in B contributes
-// NaN/Inf to C, exactly as IEEE arithmetic dictates (see linalg/ops.h).
+// (the pc loop is sequential; the worker pool only distributes disjoint
+// MC-row blocks of C), so repeated calls on identical inputs are bitwise
+// identical whether a block runs on the pool or inline. Unlike the
+// pre-blocking kernels there is NO zero-operand short-circuit: a zero in A
+// multiplied by a NaN/Inf in B contributes NaN/Inf to C, exactly as IEEE
+// arithmetic dictates (see linalg/ops.h).
 //
 // The sparse products (CsrMatrix::BlockedMultiply) share this contract
 // through AccumulateRows: each output element is summed over the same KC-deep

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/parallel.h"
 #include "linalg/gemm_kernels.h"
 
 namespace gcon {
@@ -38,16 +39,21 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
   GCON_CHECK_EQ(a.cols(), x.size());
   std::vector<double> y(a.rows(), 0.0);
-  const std::int64_t m = static_cast<std::int64_t>(a.rows());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < m; ++i) {
-    const double* arow = a.RowPtr(static_cast<std::size_t>(i));
-    double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      acc += arow[j] * x[j];
+  const std::size_t m = a.rows();
+  constexpr std::size_t kRowChunk = 256;
+  auto rows = [&](int chunk) {
+    const std::size_t i0 = static_cast<std::size_t>(chunk) * kRowChunk;
+    for (std::size_t i = i0; i < std::min(i0 + kRowChunk, m); ++i) {
+      const double* arow = a.RowPtr(i);
+      double acc = 0.0;
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        acc += arow[j] * x[j];
+      }
+      y[i] = acc;
     }
-    y[static_cast<std::size_t>(i)] = acc;
-  }
+  };
+  ParallelBlocks(static_cast<int>((m + kRowChunk - 1) / kRowChunk),
+                 static_cast<std::int64_t>(a.size()), rows);
   return y;
 }
 
@@ -56,15 +62,12 @@ std::vector<double> MatVecTransA(const Matrix& a,
   GCON_CHECK_EQ(a.rows(), x.size());
   const std::size_t n = a.cols();
   std::vector<double> y(n, 0.0);
-  // Each thread owns a contiguous block of output columns and streams its
+  // Each block owns a contiguous range of output columns and streams its
   // slice of every row, so y[j] is accumulated by one thread in row order
   // (deterministic) and writes never race. No zero-skip on x[i]: a zero
   // weight against a NaN/Inf feature must still poison the output.
   constexpr std::size_t kColBlock = 512;
-  const std::int64_t blocks =
-      static_cast<std::int64_t>((n + kColBlock - 1) / kColBlock);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t blk = 0; blk < blocks; ++blk) {
+  auto columns = [&](int blk) {
     const std::size_t j0 = static_cast<std::size_t>(blk) * kColBlock;
     const std::size_t j1 = std::min(j0 + kColBlock, n);
     for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -74,21 +77,20 @@ std::vector<double> MatVecTransA(const Matrix& a,
         y[j] += xi * arow[j];
       }
     }
-  }
+  };
+  ParallelBlocks(static_cast<int>((n + kColBlock - 1) / kColBlock),
+                 static_cast<std::int64_t>(a.size()), columns);
   return y;
 }
 
 Matrix Transpose(const Matrix& a) {
   Matrix t(a.cols(), a.rows());
   // Cache-blocked: each tile reads a.rows-major and writes t.rows-major
-  // within an L1-resident square; OpenMP over row-tiles of the output.
+  // within an L1-resident square; blocks are row-tiles of the output.
   constexpr std::size_t kTile = 64;
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  const std::int64_t row_tiles =
-      static_cast<std::int64_t>((n + kTile - 1) / kTile);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t jt = 0; jt < row_tiles; ++jt) {
+  auto tiles = [&](int jt) {
     const std::size_t j0 = static_cast<std::size_t>(jt) * kTile;
     const std::size_t j1 = std::min(j0 + kTile, n);
     for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
@@ -100,7 +102,9 @@ Matrix Transpose(const Matrix& a) {
         }
       }
     }
-  }
+  };
+  ParallelBlocks(static_cast<int>((n + kTile - 1) / kTile),
+                 static_cast<std::int64_t>(a.size()), tiles);
   return t;
 }
 

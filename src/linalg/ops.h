@@ -3,13 +3,15 @@
 // The matrix products (MatMul / MatMulTransA / MatMulTransB / Gemm) route
 // through the cache-blocked, register-tiled engine in linalg/gemm_kernels.h:
 // packed panels, a 4x8 micro-kernel (AVX2+FMA when the CPU has it, selected
-// once at startup), and OpenMP over row blocks. Tuning knobs and the kept
-// naive reference kernel live in that header. The matrix-vector products and
-// Transpose are OpenMP-parallel, cache-blocked loops.
+// once at startup), and row blocks. Tuning knobs and the kept naive
+// reference kernel live in that header. The matrix-vector products and
+// Transpose are blocked loops. Every kernel's blocks run through
+// ParallelBlocks (common/parallel.h): inline when small, else on the pool.
 //
 // Numerical policy:
 //   * Repeated calls on identical inputs are bitwise identical for a fixed
-//     build and machine — accumulation order never depends on thread count.
+//     build and machine — accumulation order never depends on which thread
+//     runs a block, or whether the call ran on the pool or inline.
 //   * Non-finite values propagate: kernels never skip a multiply because one
 //     operand is zero, so 0 * NaN = NaN and 0 * Inf = NaN reach the output
 //     exactly as IEEE arithmetic dictates. (The pre-blocking kernels

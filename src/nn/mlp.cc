@@ -16,9 +16,9 @@ namespace {
 // Inputs at most this dense run the first layer as CSR products, whose bits
 // equal the dense GEMM's (CsrMatrix::BlockedMultiply), so the choice never
 // shows in the output. Measured crossover at the cora_ml training shape
-// (BM_EncoderLayer0: 140 x 2,879 -> 32, 4-vCPU 2 GHz AVX2 Xeon, GEMM on 4
-// OpenMP threads): ~0.2 for the weight gradient and ~0.3 for a forward call
-// including its CSR build. At 0.1 the sparse gradient is still ~1.3x ahead,
+// (BM_EncoderLayer0: 140 x 2,879 -> 32, 4-vCPU 2 GHz AVX2 Xeon, GEMM on the
+// 4-thread pool): ~0.3 for the weight gradient and ~0.25 for a forward call
+// including its CSR build. At 0.1 the sparse gradient is still ~2x ahead,
 // and every bag-of-words spec (0.9-6%) is well inside.
 constexpr double kSparseInputMaxDensity = 0.1;
 

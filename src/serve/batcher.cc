@@ -346,13 +346,15 @@ void MicroBatcher::ResetCounters() {
 void MicroBatcher::RefreshObsMetrics() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& queue : queues_) {
-    // Counter mirror: internal accepted_total is monotone and the delta is
-    // computed under mu_, so concurrent scrapes cannot double-count. While
-    // the registry is disarmed the Increment is dropped and the mirror
-    // simply catches up on the next armed scrape.
-    const std::uint64_t mirrored = queue->metrics.accepted->value();
-    if (queue->accepted_total > mirrored) {
-      queue->metrics.accepted->Increment(queue->accepted_total - mirrored);
+    // Counter mirror: the registry counter is process-global, so add only
+    // this queue's admissions since its last mirrored scrape. The mark
+    // moves under mu_ (no double count) and only while the registry is
+    // armed (a disarmed Increment is dropped; the next scrape catches up).
+    if (obs::MetricsEnabled() &&
+        queue->accepted_total > queue->accepted_mirrored) {
+      queue->metrics.accepted->Increment(queue->accepted_total -
+                                         queue->accepted_mirrored);
+      queue->accepted_mirrored = queue->accepted_total;
     }
     queue->metrics.depth->Set(static_cast<double>(queue->pending.size()));
     queue->metrics.peak->Set(static_cast<double>(queue->queue_peak));

@@ -208,6 +208,8 @@ class MicroBatcher {
     /// Admissions since construction. NOT zeroed by ResetCounters — it
     /// backs the Prometheus-monotonic gcon_serve_accepted_total mirror.
     std::uint64_t accepted_total = 0;
+    /// The part of accepted_total already added to that counter.
+    std::uint64_t accepted_mirrored = 0;
     LatencyStats latency;
     QueueMetrics metrics;
   };

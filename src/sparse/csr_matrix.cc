@@ -4,9 +4,26 @@
 #include <cstdint>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "linalg/gemm_kernels.h"
 
 namespace gcon {
+namespace {
+
+// Runs row(i), which writes output row i, for every row of a SpMM whose
+// inner loops do `work` multiply-adds, in 256-row blocks.
+template <typename RowFn>
+void ForEachRowChunk(std::size_t rows, std::size_t work, const RowFn& row) {
+  constexpr std::size_t kRowChunk = 256;
+  auto chunk = [&](int c) {
+    const std::size_t i0 = static_cast<std::size_t>(c) * kRowChunk;
+    for (std::size_t i = i0; i < std::min(i0 + kRowChunk, rows); ++i) row(i);
+  };
+  ParallelBlocks(static_cast<int>((rows + kRowChunk - 1) / kRowChunk),
+                 static_cast<std::int64_t>(work), chunk);
+}
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
                      std::vector<std::int64_t> row_ptr,
@@ -104,9 +121,8 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
   GCON_CHECK_EQ(cols_, x.rows()) << "spmm: dim mismatch";
   const std::size_t d = x.cols();
   Matrix y(rows_, d);
-#pragma omp parallel for schedule(dynamic, 256)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(rows_); ++i) {
-    double* yrow = y.RowPtr(static_cast<std::size_t>(i));
+  ForEachRowChunk(rows_, nnz() * d, [&](std::size_t i) {
+    double* yrow = y.RowPtr(i);
     for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const double v = values_[static_cast<std::size_t>(k)];
       const double* xrow =
@@ -115,7 +131,7 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
         yrow[j] += v * xrow[j];
       }
     }
-  }
+  });
   return y;
 }
 
@@ -129,9 +145,8 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
   if (out->rows() != rows_ || out->cols() != d) {
     out->Resize(rows_, d);
   }
-#pragma omp parallel for schedule(dynamic, 256)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(rows_); ++i) {
-    double* orow = out->RowPtr(static_cast<std::size_t>(i));
+  ForEachRowChunk(rows_, nnz() * d, [&](std::size_t i) {
+    double* orow = out->RowPtr(i);
     for (std::size_t j = 0; j < d; ++j) orow[j] = 0.0;
     for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       const double v = values_[static_cast<std::size_t>(k)];
@@ -141,11 +156,11 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
         orow[j] += v * zrow[j];
       }
     }
-    const double* xrow = x.RowPtr(static_cast<std::size_t>(i));
+    const double* xrow = x.RowPtr(i);
     for (std::size_t j = 0; j < d; ++j) {
       orow[j] = a * orow[j] + b * xrow[j];
     }
-  }
+  });
 }
 
 Matrix CsrMatrix::BlockedMultiply(const Matrix& b) const {

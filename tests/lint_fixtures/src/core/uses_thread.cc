@@ -1,5 +1,5 @@
 // Fixture: seeded no-raw-threads violation (std::thread outside
-// src/eval/parallel.* and src/serve/). Never compiled; consumed by
+// src/common/parallel.* and src/serve/). Never compiled; consumed by
 // tests/lint_invariants_test.py.
 #include <thread>
 

@@ -25,7 +25,6 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
 
 EXPECTED = [
     ("no-raw-threads", "src/core/uses_thread.cc"),
-    ("no-raw-openmp", "src/core/uses_openmp.cc"),
     ("scoped-cache-stats", "src/eval/stats_diff.cc"),
     ("rng-discipline", "src/core/uses_rand.cc"),  # srand(7)
     ("rng-discipline", "src/core/uses_rand.cc"),  # rand() x2
@@ -70,7 +69,6 @@ class LintInvariantsTest(unittest.TestCase):
     def test_sanctioned_dirs_and_comments_not_flagged(self):
         _, payload = self.findings()
         files = {f["file"] for f in payload["findings"]}
-        self.assertNotIn("src/linalg/ok_openmp.cc", files)
         self.assertNotIn("src/serve/ok_thread.cc", files)
         # stats_diff.cc seeds one live violation and one commented-out copy.
         stats_hits = [f for f in payload["findings"]
@@ -125,8 +123,6 @@ class LintInvariantsTest(unittest.TestCase):
         entries = [
             {"rule": "no-raw-threads", "file": "src/core/uses_thread.cc",
              "contains": "std::thread worker", "reason": "fixture"},
-            {"rule": "no-raw-openmp", "file": "src/core/uses_openmp.cc",
-             "contains": "#pragma omp parallel for", "reason": "fixture"},
             {"rule": "scoped-cache-stats", "file": "src/eval/stats_diff.cc",
              "contains": "before", "reason": "fixture"},
             {"rule": "rng-discipline", "file": "src/core/uses_rand.cc",

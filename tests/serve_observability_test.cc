@@ -335,6 +335,40 @@ TEST_F(ServeObservabilityTest, JsonMetricsVerbCountsAcceptedQueries) {
                    client.bytes_sent(), client.bytes_received());
 }
 
+TEST(ServeObservabilityAccepted, EachServerInAProcessCountsItsOwnQueries) {
+  // gcon_serve_accepted_total is process-global while each server's
+  // admission total starts at zero, so a later server's scrapes must add
+  // its own admissions, not whatever the global counter lacks. The second
+  // server also scrapes once while the registry is disarmed; the next
+  // armed scrape must still catch up.
+  const Graph graph = serve_test::TestGraph(9);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
+  const std::string series = "gcon_serve_accepted_total{model=\"default\"}";
+  for (const int queries : {3, 2}) {
+    std::vector<ModelRouter::NamedModel> models;
+    models.push_back({"default", InferenceSession(artifact, graph)});
+    ServeOptions options;
+    options.threads = 1;
+    InferenceServer server(std::move(models), options);
+    const double before =
+        std::max(SeriesValue(server.MetricsText(), series), 0.0);
+    for (int q = 0; q < queries; ++q) {
+      ServeRequest request;
+      request.id = q;
+      request.node = q;
+      EXPECT_EQ(server.Query(request).node, q);
+    }
+    if (queries == 2) {
+      obs::SetMetricsEnabled(false);
+      server.MetricsText();
+      obs::SetMetricsEnabled(true);
+    }
+    EXPECT_DOUBLE_EQ(SeriesValue(server.MetricsText(), series) - before,
+                     static_cast<double>(queries))
+        << "server answering " << queries << " queries";
+  }
+}
+
 TEST_F(ServeObservabilityTest, BinaryMetricsVerbAnswersTheSameExposition) {
   const TransportTally tally_before = ReadTally(server_.get(), "binary");
   FrameClient client(port());

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/model_io.h"
-#include "eval/parallel.h"
 #include "graph/datasets.h"
 #include "model/adapters.h"
 #include "nn/mlp.h"

@@ -10,8 +10,6 @@
 # The two invocations are separate processes (cold PropagationCache each),
 # and every run draws its own dataset (no --share-data), so both sides do
 # the full per-run work and the ratio isolates the worker-pool fan-out.
-# OMP_NUM_THREADS is pinned to 1: the OpenMP linalg loops would otherwise
-# already occupy every core at --threads=1 and hide the engine's scaling.
 #
 # Usage: bench_parallel_json.sh <path-to-gcon_cli> [output.json] [threads]
 # GCON_PARALLEL_BENCH_RUNS overrides the repeat count (default 8).
@@ -26,8 +24,6 @@ WORKLOAD_FLAGS="eval --method=gcon --dataset=tiny --scale=1 --epsilon=1 \
   --seed=3 --runs=${RUNS} \
   --set encoder_epochs=6000 --set max_iterations=3000 \
   --set alpha_grid=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.95"
-
-export OMP_NUM_THREADS=1
 
 now_ns() { date +%s%N; }
 

@@ -13,13 +13,10 @@
 #    "binary_tcp": {"qps": ...}, "speedup": ..., "routing_cost": ...,
 #    "degradation_ratio": ..., "binary_vs_json_qps": ...}
 #
-# OMP_NUM_THREADS is pinned to 1 so the GEMM's OpenMP loops cannot occupy
-# the cores the client threads need; the ratios isolate the batching and
-# routing engines, not the kernel parallelism. The CI gates assert
-# speedup >= 2x, routing_cost >= 0.9 (multi-model routing may cost
-# < 10% QPS vs single-model), degradation_ratio >= 0.9, and
-# binary_vs_json_qps >= 2.0 (the zero-copy binary frame transport must at
-# least double feature-carrying throughput over the text codec).
+# The CI gates assert speedup >= 2x, routing_cost >= 0.9 (multi-model
+# routing may cost < 10% QPS vs single-model), degradation_ratio >= 0.9,
+# and binary_vs_json_qps >= 2.0 (the zero-copy binary frame transport must
+# at least double feature-carrying throughput over the text codec).
 #
 # Usage: bench_serve_json.sh <path-to-bench_serve> [output.json]
 # GCON_SERVE_BENCH_QUERIES overrides the per-mode query count (default
@@ -28,8 +25,6 @@ set -eu
 
 BENCH_BIN="${1:?usage: bench_serve_json.sh <bench_serve> [out.json]}"
 OUT="${2:-BENCH_serve.json}"
-
-export OMP_NUM_THREADS=1
 
 "${BENCH_BIN}" > "${OUT}"
 

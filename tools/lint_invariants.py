@@ -7,17 +7,11 @@ This linter turns them into AST-free source checks so CI catches a drive-by
 violation before it becomes a silent race or a broken memcmp proof:
 
   no-raw-threads      std::thread / std::jthread / std::async only in
-                      src/eval/parallel.* and src/serve/ — everything else
+                      src/common/parallel.* and src/serve/ — everything else
                       rides ParallelFor / WorkerPool::Global() so parallel
                       results stay bitwise identical to sequential.
                       (tests/ are exempt: they drive concurrency scenarios
                       against the pool on purpose.)
-  no-raw-openmp       `#pragma omp` only in src/linalg/ and src/sparse/
-                      (the ROADMAP-sanctioned deterministic kernels, see
-                      CMakeLists GCON_ENABLE_OPENMP) plus the two thread
-                      homes above. A raw pragma anywhere else bypasses the
-                      one switch that sanitizer builds use to silence
-                      libgomp's TSan false positives.
   scoped-cache-stats  No reads (or resets) of the *global* PropagationCache
                       stats to compute per-call deltas — the racy scheme
                       PR 3 retired. Per-call accounting uses
@@ -100,16 +94,7 @@ RULES = [
                    "WorkerPool::Global())",
         "pattern": re.compile(r"std::(thread|jthread|async)\b"),
         "scan": ["src", "bench", "tools", "examples"],
-        "allow": ["src/eval/parallel.", "src/serve/"],
-    },
-    {
-        "id": "no-raw-openmp",
-        "summary": "raw `#pragma omp` outside the deterministic kernel dirs "
-                   "(src/linalg/, src/sparse/)",
-        "pattern": re.compile(r"#\s*pragma\s+omp\b"),
-        "scan": ["src", "bench", "tools", "examples"],
-        "allow": ["src/linalg/", "src/sparse/", "src/eval/parallel.",
-                  "src/serve/"],
+        "allow": ["src/common/parallel.", "src/serve/"],
     },
     {
         "id": "scoped-cache-stats",
