@@ -27,8 +27,8 @@ Matrix TrainGapAndPredict(const Graph& graph, const Split& split,
   enc_options.epochs = options.encoder_epochs;
   enc_options.seed = options.seed;
   Mlp encoder(enc_options);
-  encoder.Train(graph.features(), graph.labels(), split.train, split.val);
-  Matrix x0 = encoder.HiddenRepresentation(graph.features(),
+  encoder.Train(graph.feature_csr(), graph.labels(), split.train, split.val);
+  Matrix x0 = encoder.HiddenRepresentation(graph.feature_csr(),
                                            encoder.num_layers() - 1);
   RowL2NormalizeInPlace(&x0);
 

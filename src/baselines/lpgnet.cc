@@ -45,9 +45,12 @@ Matrix TrainLpgnetAndPredict(const Graph& graph, const Split& split,
 
   // Stack 0: edge-free MLP.
   Mlp mlp0 = MakeStackMlp(graph, graph.feature_dim(), options, options.seed);
-  mlp0.Train(graph.features(), graph.labels(), split.train, split.val);
-  Matrix logits = mlp0.Forward(graph.features());
-  std::vector<int> predicted = mlp0.Predict(graph.features());
+  mlp0.Train(graph.feature_csr(), graph.labels(), split.train, split.val);
+  Matrix logits = mlp0.Forward(graph.feature_csr());
+  std::vector<int> predicted(logits.rows());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    predicted[i] = static_cast<int>(RowArgMax(logits, i));
+  }
   if (options.stacks == 0) return logits;
 
   const double eps_per_stack = epsilon / options.stacks;
@@ -57,7 +60,7 @@ Matrix TrainLpgnetAndPredict(const Graph& graph, const Split& split,
   // compresses the information" of the original features) — raw features are
   // not re-fed, which is why LPGNet can fall below the plain MLP when the
   // degree vectors are noise-dominated, as the paper's Figure 1 shows.
-  Matrix embedding = mlp0.HiddenRepresentation(graph.features(), 1);
+  Matrix embedding = mlp0.HiddenRepresentation(graph.feature_csr(), 1);
   std::vector<Matrix> degree_blocks;
 
   for (int stack = 1; stack <= options.stacks; ++stack) {

@@ -14,8 +14,8 @@ Matrix TrainMlpAndPredict(const Graph& graph, const Split& split,
   mlp_options.epochs = options.epochs;
   mlp_options.seed = options.seed;
   auto mlp = std::make_unique<Mlp>(mlp_options);
-  mlp->Train(graph.features(), graph.labels(), split.train, split.val);
-  Matrix logits = mlp->Forward(graph.features());
+  mlp->Train(graph.feature_csr(), graph.labels(), split.train, split.val);
+  Matrix logits = mlp->Forward(graph.feature_csr());
   if (trained != nullptr) {
     *trained = std::move(mlp);
   }

@@ -30,10 +30,10 @@ Matrix TrainProgapAndPredict(const Graph& graph, const Split& split,
 
   // Stage 0: edge-free MLP on the raw features.
   Mlp stage0(make_mlp_options(graph.feature_dim(), options.seed));
-  stage0.Train(graph.features(), graph.labels(), split.train, split.val);
+  stage0.Train(graph.feature_csr(), graph.labels(), split.train, split.val);
   Matrix representation = stage0.HiddenRepresentation(
-      graph.features(), stage0.num_layers() - 1);
-  Matrix logits = stage0.Forward(graph.features());
+      graph.feature_csr(), stage0.num_layers() - 1);
+  Matrix logits = stage0.Forward(graph.feature_csr());
   if (options.stages == 0) return logits;
 
   const PropagationCache::CachedCsr cached_adjacency =

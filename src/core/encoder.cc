@@ -20,9 +20,9 @@ EncodedFeatures TrainEncoder(const Graph& graph, const Split& split,
   mlp_options.seed = options.seed;
 
   EncodedFeatures out{Matrix(), {}, -1.0, Mlp(mlp_options)};
-  out.mlp.Train(graph.features(), graph.labels(), split.train, split.val);
+  out.mlp.Train(graph.feature_csr(), graph.labels(), split.train, split.val);
 
-  const Matrix logits = out.mlp.Forward(graph.features());
+  const Matrix logits = out.mlp.Forward(graph.feature_csr());
   out.predictions.resize(static_cast<std::size_t>(graph.num_nodes()));
   for (int v = 0; v < graph.num_nodes(); ++v) {
     out.predictions[static_cast<std::size_t>(v)] =
@@ -32,7 +32,7 @@ EncodedFeatures TrainEncoder(const Graph& graph, const Split& split,
     out.val_accuracy = Accuracy(logits, graph.labels(), split.val);
   }
   // Penultimate layer = last hidden representation (d1-dimensional).
-  out.features = out.mlp.HiddenRepresentation(graph.features(),
+  out.features = out.mlp.HiddenRepresentation(graph.feature_csr(),
                                               out.mlp.num_layers() - 1);
   return out;
 }

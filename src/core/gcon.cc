@@ -202,7 +202,7 @@ Matrix PrivateInferenceOnGraph(const GconPrepared& prepared,
   const double alpha_inf =
       config.alpha_inference >= 0.0 ? config.alpha_inference : config.alpha;
   Matrix encoded = prepared.encoder_mlp.HiddenRepresentation(
-      graph.features(), prepared.encoder_mlp.num_layers() - 1);
+      graph.feature_csr(), prepared.encoder_mlp.num_layers() - 1);
   RowL2NormalizeInPlace(&encoded);
   const PropagationCache::CachedCsr transition =
       PropagationCache::Global().Transition(graph);
@@ -215,7 +215,7 @@ Matrix PublicInferenceOnGraph(const GconPrepared& prepared,
                               const GconModel& model, const Graph& graph) {
   const GconConfig& config = prepared.config;
   Matrix encoded = prepared.encoder_mlp.HiddenRepresentation(
-      graph.features(), prepared.encoder_mlp.num_layers() - 1);
+      graph.feature_csr(), prepared.encoder_mlp.num_layers() - 1);
   RowL2NormalizeInPlace(&encoded);
   PropagationCache& cache = PropagationCache::Global();
   const PropagationCache::CachedCsr transition = cache.Transition(graph);

@@ -27,7 +27,7 @@ namespace {
 }  // namespace
 
 Matrix GconArtifact::Infer(const Graph& graph) const {
-  Matrix encoded = encoder.HiddenRepresentation(graph.features(),
+  Matrix encoded = encoder.HiddenRepresentation(graph.feature_csr(),
                                                 encoder.num_layers() - 1);
   RowL2NormalizeInPlace(&encoded);
   const PropagationCache::CachedCsr transition =

@@ -15,7 +15,7 @@ Graph EmptyCopy(const Graph& graph) {
   for (int v = 0; v < graph.num_nodes(); ++v) {
     out.set_label(v, graph.label(v));
   }
-  out.set_features(graph.features());
+  out.set_features(graph.feature_csr());
   return out;
 }
 

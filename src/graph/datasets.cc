@@ -234,14 +234,18 @@ Graph GenerateDataset(const DatasetSpec& spec, Rng* rng) {
   // --- features: class-conditional sparse bag of words ---------------------
   const int d0 = spec.num_features;
   const int block = std::max(1, d0 / spec.num_classes);
-  Matrix x(static_cast<std::size_t>(spec.num_nodes),
-           static_cast<std::size_t>(d0));
+  // Built straight into CSR: each row's drawn words, sorted and deduplicated.
+  std::vector<std::int64_t> row_ptr(
+      static_cast<std::size_t>(spec.num_nodes) + 1, 0);
+  std::vector<std::int32_t> col_idx;
+  std::vector<int> words;
   for (int v = 0; v < spec.num_nodes; ++v) {
     const int label = graph.label(v);
     const int block_begin = label * block;
     const int block_end = std::min(d0, block_begin + block);
     std::int64_t active = rng->Binomial(d0, spec.feature_density);
     if (active < 2) active = 2;
+    words.clear();
     for (std::int64_t w = 0; w < active; ++w) {
       int word;
       if (rng->Bernoulli(spec.topic_bias) && block_end > block_begin) {
@@ -250,10 +254,18 @@ Graph GenerateDataset(const DatasetSpec& spec, Rng* rng) {
       } else {
         word = static_cast<int>(rng->UniformInt(static_cast<std::uint64_t>(d0)));
       }
-      x(static_cast<std::size_t>(v), static_cast<std::size_t>(word)) = 1.0;
+      words.push_back(word);
     }
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    col_idx.insert(col_idx.end(), words.begin(), words.end());
+    row_ptr[static_cast<std::size_t>(v) + 1] =
+        static_cast<std::int64_t>(col_idx.size());
   }
-  graph.set_features(std::move(x));
+  std::vector<double> values(col_idx.size(), 1.0);
+  graph.set_features(CsrMatrix(static_cast<std::size_t>(spec.num_nodes),
+                               static_cast<std::size_t>(d0), std::move(row_ptr),
+                               std::move(col_idx), std::move(values)));
   return graph;
 }
 

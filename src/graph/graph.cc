@@ -63,6 +63,30 @@ std::vector<std::pair<int, int>> Graph::EdgeList() const {
   return edges;
 }
 
+void Graph::set_features(const Matrix& x) {
+  features_ = CsrMatrix::FromDense(x);
+  dense_.Reset();
+}
+
+void Graph::set_features(CsrMatrix x) {
+  GCON_CHECK(x.IsCanonicalNonzero()) << "feature CSR is not canonical";
+  features_ = std::move(x);
+  dense_.Reset();
+}
+
+const Matrix& Graph::features() const {
+  std::lock_guard<std::mutex> lock(dense_.mu);
+  if (dense_.matrix == nullptr) {
+    dense_.matrix = std::make_unique<Matrix>(features_.ToDense());
+  }
+  return *dense_.matrix;
+}
+
+bool Graph::dense_features_built() const {
+  std::lock_guard<std::mutex> lock(dense_.mu);
+  return dense_.matrix != nullptr;
+}
+
 void Graph::set_label(int v, int label) {
   GCON_CHECK_LT(v, num_nodes());
   GCON_CHECK_GE(label, 0);
@@ -111,7 +135,7 @@ void Graph::CheckConsistency() const {
     directed += list.size();
   }
   GCON_CHECK_EQ(directed, 2 * num_edges_);
-  if (!features_.empty()) {
+  if (features_.rows() > 0 || features_.cols() > 0) {
     GCON_CHECK_EQ(features_.rows(), static_cast<std::size_t>(num_nodes()));
   }
   for (int v = 0; v < num_nodes(); ++v) {

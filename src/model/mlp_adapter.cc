@@ -60,7 +60,7 @@ class MlpModel : public GraphModel {
     GCON_CHECK(mlp_ != nullptr) << "Predict called before Train/Load on 'mlp'";
     GCON_CHECK_EQ(graph.feature_dim(), mlp_->options().dims.front())
         << "graph feature width does not match the trained network";
-    return mlp_->Forward(graph.features());
+    return mlp_->Forward(graph.feature_csr());
   }
 
   bool Save(const std::string& path) const override {

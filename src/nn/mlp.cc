@@ -22,28 +22,55 @@ namespace {
 // and every bag-of-words spec (0.9-6%) is well inside.
 constexpr double kSparseInputMaxDensity = 0.1;
 
-// A layer-0 input, plus its CSR form (and that form's transpose for the
-// weight gradient) when the input is sparse enough. Built once per input
-// matrix so a training loop pays for the conversion once, not per epoch.
-struct LayerInput {
+// A layer-0 input in the form its products run in: CSR when it is at most
+// kSparseInputMaxDensity dense (plus the transpose for the weight gradient),
+// a dense matrix otherwise. Dense and CSR callers get the same kernel for
+// the same values, so the overload a caller picks never shows in the bits.
+// Built once per input so a training loop pays for a conversion once, not
+// per epoch. Holds references to the caller's matrix; not copyable.
+class LayerInput {
+ public:
   LayerInput(const Matrix& x, bool with_transpose)
-      : dense(x), csr(CsrMatrix::FromDenseIfSparse(x, kSparseInputMaxDensity)) {
-    if (csr && with_transpose) csr_t = csr->Transposed();
+      : owned_csr_(CsrMatrix::FromDenseIfSparse(x, kSparseInputMaxDensity)) {
+    if (owned_csr_) {
+      csr_ = &*owned_csr_;
+    } else {
+      dense_ = &x;
+    }
+    if (with_transpose && csr_ != nullptr) csr_t_ = csr_->Transposed();
   }
+
+  LayerInput(const CsrMatrix& x, bool with_transpose) {
+    // The rule FromDenseIfSparse applies to a dense input's nonzeros.
+    if (static_cast<double>(x.nnz()) <=
+        kSparseInputMaxDensity * static_cast<double>(x.rows() * x.cols())) {
+      csr_ = &x;
+      if (with_transpose) csr_t_ = x.Transposed();
+    } else {
+      owned_dense_ = x.ToDense();
+      dense_ = &owned_dense_;
+    }
+  }
+
+  LayerInput(const LayerInput&) = delete;
+  LayerInput& operator=(const LayerInput&) = delete;
 
   /// X * W.
   Matrix Times(const Matrix& w) const {
-    return csr ? csr->BlockedMultiply(w) : MatMul(dense, w);
+    return csr_ != nullptr ? csr_->BlockedMultiply(w) : MatMul(*dense_, w);
   }
 
   /// X^T * dZ.
   Matrix TransposeTimes(const Matrix& dz) const {
-    return csr_t ? csr_t->BlockedMultiply(dz) : MatMulTransA(dense, dz);
+    return csr_t_ ? csr_t_->BlockedMultiply(dz) : MatMulTransA(*dense_, dz);
   }
 
-  const Matrix& dense;
-  std::optional<CsrMatrix> csr;
-  std::optional<CsrMatrix> csr_t;
+ private:
+  const Matrix* dense_ = nullptr;
+  const CsrMatrix* csr_ = nullptr;
+  std::optional<CsrMatrix> owned_csr_;
+  Matrix owned_dense_;
+  std::optional<CsrMatrix> csr_t_;
 };
 
 // Forward pass keeping every layer's post-activation output: outputs[l] is
@@ -96,6 +123,20 @@ double LossAndGradsImpl(const Mlp& mlp, const LayerInput& input,
   return loss;
 }
 
+Matrix ForwardImpl(const Mlp& mlp, const LayerInput& input) {
+  std::vector<Matrix> outputs;
+  ForwardKeep(mlp, input, &outputs);
+  return std::move(outputs.back());
+}
+
+Matrix HiddenImpl(const Mlp& mlp, const LayerInput& input, int layer) {
+  GCON_CHECK_GE(layer, 1);
+  GCON_CHECK_LT(layer, mlp.num_layers());
+  std::vector<Matrix> outputs;
+  ForwardKeep(mlp, input, &outputs);
+  return std::move(outputs[static_cast<std::size_t>(layer - 1)]);
+}
+
 }  // namespace
 
 void GlorotInit(Matrix* w, std::uint64_t seed) {
@@ -134,17 +175,19 @@ Mlp::Mlp(const MlpOptions& options) : options_(options) {
 }
 
 Matrix Mlp::Forward(const Matrix& x) const {
-  std::vector<Matrix> outputs;
-  ForwardKeep(*this, LayerInput(x, /*with_transpose=*/false), &outputs);
-  return std::move(outputs.back());
+  return ForwardImpl(*this, LayerInput(x, /*with_transpose=*/false));
+}
+
+Matrix Mlp::Forward(const CsrMatrix& x) const {
+  return ForwardImpl(*this, LayerInput(x, /*with_transpose=*/false));
 }
 
 Matrix Mlp::HiddenRepresentation(const Matrix& x, int layer) const {
-  GCON_CHECK_GE(layer, 1);
-  GCON_CHECK_LT(layer, num_layers());
-  std::vector<Matrix> outputs;
-  ForwardKeep(*this, LayerInput(x, /*with_transpose=*/false), &outputs);
-  return std::move(outputs[static_cast<std::size_t>(layer - 1)]);
+  return HiddenImpl(*this, LayerInput(x, /*with_transpose=*/false), layer);
+}
+
+Matrix Mlp::HiddenRepresentation(const CsrMatrix& x, int layer) const {
+  return HiddenImpl(*this, LayerInput(x, /*with_transpose=*/false), layer);
 }
 
 std::vector<int> Mlp::Predict(const Matrix& x) const {
@@ -168,24 +211,34 @@ double Mlp::Train(const Matrix& x, const std::vector<int>& labels,
                   const std::vector<int>& val_idx) {
   GCON_CHECK(!train_idx.empty());
   // Work on the gathered training block so each epoch touches n1 rows, not n.
-  const Matrix x_train = GatherRows(x, train_idx);
+  return TrainOnBlocks(GatherRows(x, train_idx), GatherRows(x, val_idx), labels,
+                       train_idx, val_idx);
+}
+
+double Mlp::Train(const CsrMatrix& x, const std::vector<int>& labels,
+                  const std::vector<int>& train_idx,
+                  const std::vector<int>& val_idx) {
+  GCON_CHECK(!train_idx.empty());
+  return TrainOnBlocks(x.GatherRows(train_idx), x.GatherRows(val_idx), labels,
+                       train_idx, val_idx);
+}
+
+template <typename Block>
+double Mlp::TrainOnBlocks(const Block& x_train, const Block& x_val,
+                          const std::vector<int>& labels,
+                          const std::vector<int>& train_idx,
+                          const std::vector<int>& val_idx) {
   std::vector<int> labels_train(train_idx.size());
   std::vector<int> local_idx(train_idx.size());
   for (std::size_t i = 0; i < train_idx.size(); ++i) {
     labels_train[i] = labels[static_cast<std::size_t>(train_idx[i])];
     local_idx[i] = static_cast<int>(i);
   }
-  Matrix x_val;
-  std::vector<int> labels_val;
-  std::vector<int> local_val_idx;
-  if (!val_idx.empty()) {
-    x_val = GatherRows(x, val_idx);
-    labels_val.resize(val_idx.size());
-    local_val_idx.resize(val_idx.size());
-    for (std::size_t i = 0; i < val_idx.size(); ++i) {
-      labels_val[i] = labels[static_cast<std::size_t>(val_idx[i])];
-      local_val_idx[i] = static_cast<int>(i);
-    }
+  std::vector<int> labels_val(val_idx.size());
+  std::vector<int> local_val_idx(val_idx.size());
+  for (std::size_t i = 0; i < val_idx.size(); ++i) {
+    labels_val[i] = labels[static_cast<std::size_t>(val_idx[i])];
+    local_val_idx[i] = static_cast<int>(i);
   }
 
   const LayerInput train_input(x_train, /*with_transpose=*/true);

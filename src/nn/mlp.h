@@ -10,9 +10,11 @@
 // Training is full-batch Adam on softmax cross-entropy with optional
 // validation-based model selection (best weights restored).
 //
-// A sparse input (density <= 0.1, e.g. bag-of-words features) runs the first
-// layer as CSR products that reproduce the dense GEMM's bits for finite
-// weights, so outputs never depend on which path ran.
+// The layer-0 input comes as a dense Matrix or as a CsrMatrix (a graph's
+// feature store). Either way, an input at most 10% nonzero (e.g. bag-of-words
+// features) runs the first layer as CSR products that reproduce the dense
+// GEMM's bits for finite weights, and a denser one runs the GEMM, so outputs
+// never depend on which overload or path ran.
 #ifndef GCON_NN_MLP_H_
 #define GCON_NN_MLP_H_
 
@@ -21,6 +23,7 @@
 
 #include "linalg/matrix.h"
 #include "nn/activations.h"
+#include "sparse/csr_matrix.h"
 
 namespace gcon {
 
@@ -42,11 +45,13 @@ class Mlp {
 
   /// Forward pass to logits (no softmax).
   Matrix Forward(const Matrix& x) const;
+  Matrix Forward(const CsrMatrix& x) const;
 
   /// Representation after the activation of hidden layer `layer`
   /// (1-based; `layer` in [1, num_layers-1]). layer = num_layers-1 is the
   /// penultimate representation used by the GCON encoder.
   Matrix HiddenRepresentation(const Matrix& x, int layer) const;
+  Matrix HiddenRepresentation(const CsrMatrix& x, int layer) const;
 
   /// Argmax class predictions for each row of x.
   std::vector<int> Predict(const Matrix& x) const;
@@ -55,6 +60,9 @@ class Mlp {
   /// non-empty, keeps the weights with the best validation accuracy.
   /// Returns the final training loss.
   double Train(const Matrix& x, const std::vector<int>& labels,
+               const std::vector<int>& train_idx,
+               const std::vector<int>& val_idx);
+  double Train(const CsrMatrix& x, const std::vector<int>& labels,
                const std::vector<int>& train_idx,
                const std::vector<int>& val_idx);
 
@@ -80,6 +88,14 @@ class Mlp {
   const MlpOptions& options() const { return options_; }
 
  private:
+  // Train's loop over the gathered training and validation blocks, each a
+  // Matrix or a CsrMatrix.
+  template <typename Block>
+  double TrainOnBlocks(const Block& x_train, const Block& x_val,
+                       const std::vector<int>& labels,
+                       const std::vector<int>& train_idx,
+                       const std::vector<int>& val_idx);
+
   MlpOptions options_;
   std::vector<Matrix> weights_;  // weights_[l]: dims[l] x dims[l+1]
   std::vector<Matrix> biases_;   // biases_[l]: 1 x dims[l+1]

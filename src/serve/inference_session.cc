@@ -97,7 +97,7 @@ void InferenceSession::InitArtifact(GconArtifact artifact,
   // transition comes through the same cache Infer uses — a serving process
   // that also ran offline inference on this graph reuses the build.
   encoded_ = artifact_->encoder.HiddenRepresentation(
-      graph_->features(), artifact_->encoder.num_layers() - 1);
+      graph_->feature_csr(), artifact_->encoder.num_layers() - 1);
   RowL2NormalizeInPlace(&encoded_);
   transition_ = PropagationCache::Global().Transition(*graph_).csr;
   alpha_inf_ = artifact_->alpha_inference >= 0.0 ? artifact_->alpha_inference

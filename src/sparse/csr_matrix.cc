@@ -117,6 +117,40 @@ Matrix CsrMatrix::ToDense() const {
   return dense;
 }
 
+CsrMatrix CsrMatrix::GatherRows(const std::vector<int>& index) const {
+  std::vector<std::int64_t> row_ptr(index.size() + 1, 0);
+  for (std::size_t r = 0; r < index.size(); ++r) {
+    const std::size_t i = static_cast<std::size_t>(index[r]);
+    GCON_CHECK_LT(i, rows_);
+    row_ptr[r + 1] = row_ptr[r] + static_cast<std::int64_t>(RowNnz(i));
+  }
+  std::vector<std::int32_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size());
+  for (std::size_t r = 0; r < index.size(); ++r) {
+    const std::size_t i = static_cast<std::size_t>(index[r]);
+    std::copy(col_idx_.begin() + row_ptr_[i],
+              col_idx_.begin() + row_ptr_[i + 1], col_idx.begin() + row_ptr[r]);
+    std::copy(values_.begin() + row_ptr_[i], values_.begin() + row_ptr_[i + 1],
+              values.begin() + row_ptr[r]);
+  }
+  return CsrMatrix(index.size(), cols_, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+bool CsrMatrix::IsCanonicalNonzero() const {
+  for (std::size_t i = 0; i < rows_; ++i) {
+    for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const std::size_t kk = static_cast<std::size_t>(k);
+      const bool sorted = k == row_ptr_[i] || col_idx_[kk - 1] < col_idx_[kk];
+      if (col_idx_[kk] < 0 || static_cast<std::size_t>(col_idx_[kk]) >= cols_ ||
+          values_[kk] == 0.0 || !sorted) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 Matrix CsrMatrix::Multiply(const Matrix& x) const {
   GCON_CHECK_EQ(cols_, x.rows()) << "spmm: dim mismatch";
   const std::size_t d = x.cols();

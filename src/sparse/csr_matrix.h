@@ -1,7 +1,8 @@
 // Compressed sparse row matrix.
 //
 // Used for the message-passing matrix Ã = D⁻¹(A + I), the perturbed
-// adjacency matrices of the DP baselines, and sparse encoder inputs.
+// adjacency matrices of the DP baselines, and the node-feature matrix X
+// (a Graph's feature store and the encoder's sparse input).
 // Construction goes through CooBuilder (which sorts and merges duplicates)
 // or FromDense; both produce canonical CSR (row-major, column indices
 // strictly increasing within a row).
@@ -61,6 +62,14 @@ class CsrMatrix {
 
   /// Dense copy (test/diagnostic use; beware n² memory).
   Matrix ToDense() const;
+
+  /// The rows `index` (in that order, repeats allowed) as a new matrix.
+  CsrMatrix GatherRows(const std::vector<int>& index) const;
+
+  /// True when the row-major entries are canonical: column indices strictly
+  /// increasing within each row and in range, and no stored entry equal to
+  /// 0.0 — the form FromDense produces.
+  bool IsCanonicalNonzero() const;
 
   /// Y = this * X (SpMM). X: cols() x d, result rows() x d.
   Matrix Multiply(const Matrix& x) const;

@@ -37,6 +37,7 @@ EXPECTED = [
     ("no-hot-path-logging", "src/linalg/hot_log.cc"),
     ("no-hot-path-logging", "src/serve/batcher.cc"),
     ("obs-no-serve-include", "src/obs/includes_serve.cc"),
+    ("release-path-csr-features", "src/core/reads_dense_features.cc"),
 ]
 
 
@@ -100,6 +101,12 @@ class LintInvariantsTest(unittest.TestCase):
                          if f["rule"] == "obs-no-serve-include"]
         self.assertEqual(len(layering_hits), 1)
         self.assertIn("serve/batcher.h", layering_hits[0]["text"])
+        # release-path-csr-features: the live dense call only — not the
+        # CSR read, the commented-out copy, or a `features` data member.
+        dense_hits = [f for f in payload["findings"]
+                      if f["rule"] == "release-path-csr-features"]
+        self.assertEqual(len(dense_hits), 1)
+        self.assertIn("graph.features()", dense_hits[0]["text"])
 
     def test_waiver_suppresses_exactly_one_finding(self):
         waivers = write_waivers([{
@@ -149,6 +156,9 @@ class LintInvariantsTest(unittest.TestCase):
             {"rule": "obs-no-serve-include",
              "file": "src/obs/includes_serve.cc",
              "contains": "serve/batcher.h", "reason": "fixture"},
+            {"rule": "release-path-csr-features",
+             "file": "src/core/reads_dense_features.cc",
+             "contains": "graph.features()", "reason": "fixture"},
         ]
         waivers = write_waivers(entries)
         try:

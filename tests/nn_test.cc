@@ -9,6 +9,7 @@
 #include "nn/mlp.h"
 #include "nn/optim.h"
 #include "rng/rng.h"
+#include "sparse/csr_matrix.h"
 
 namespace gcon {
 namespace {
@@ -314,11 +315,12 @@ TEST(Mlp, ValidationSelectionKeepsBestWeights) {
 // weight gradients must equal, bit for bit, the dense products built from
 // the public weights, here on an input wider than one GEMM k-slab (256).
 
-Matrix SparseBagOfWords(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+Matrix SparseBagOfWords(std::size_t rows, std::size_t cols, std::uint64_t seed,
+                        double density = 0.012) {
   Rng rng(seed);
   Matrix x(rows, cols);
   for (std::size_t k = 0; k < x.size(); ++k) {
-    if (rng.Bernoulli(0.012)) x.data()[k] = rng.Uniform(0.0, 2.0);
+    if (rng.Bernoulli(density)) x.data()[k] = rng.Uniform(0.0, 2.0);
   }
   return x;
 }
@@ -392,6 +394,43 @@ TEST(Mlp, SparseInputWeightGradientsMatchDenseProductsBitwise) {
     ActivationDerivFromOutput(mlp.options().hidden_activation, outputs[l - 1],
                               &deriv);
     dz = Hadamard(MatMulTransB(dz, mlp.weight(static_cast<int>(l))), deriv);
+  }
+}
+
+// A graph's features reach the encoder as CSR; perfbench and the dense
+// baselines pass a dense Matrix. Both overloads must give the same bits, on
+// either side of the 10% layer-0 density rule: 1.2% (bag of words, CSR
+// products) and 20% (TinySpec-like, GEMM).
+TEST(Mlp, CsrInputOverloadsMatchDenseOverloadsBitwise) {
+  for (const double density : {0.012, 0.2}) {
+    SCOPED_TRACE(density);
+    const Matrix x = SparseBagOfWords(120, 600, 23, density);
+    const CsrMatrix csr = CsrMatrix::FromDense(x);
+    Rng rng(24);
+    std::vector<int> labels(x.rows());
+    for (int& label : labels) label = static_cast<int>(rng.UniformInt(3));
+    std::vector<int> train_idx, val_idx;
+    for (int i = 0; i < 120; ++i) {
+      (i % 3 == 0 ? val_idx : train_idx).push_back(i);
+    }
+
+    MlpOptions options = SparseInputMlp().options();
+    options.epochs = 12;
+    options.eval_every = 2;
+    Mlp from_dense(options);
+    Mlp from_csr(options);
+    EXPECT_EQ(from_dense.Train(x, labels, train_idx, val_idx),
+              from_csr.Train(csr, labels, train_idx, val_idx));
+    for (int l = 0; l < from_dense.num_layers(); ++l) {
+      EXPECT_TRUE(SameBits(from_dense.weight(l), from_csr.weight(l))) << l;
+      EXPECT_TRUE(SameBits(from_dense.bias(l), from_csr.bias(l))) << l;
+    }
+    EXPECT_TRUE(SameBits(from_dense.Forward(x), from_dense.Forward(csr)));
+    for (int layer = 1; layer < from_dense.num_layers(); ++layer) {
+      EXPECT_TRUE(SameBits(from_dense.HiddenRepresentation(x, layer),
+                           from_dense.HiddenRepresentation(csr, layer)))
+          << layer;
+    }
   }
 }
 

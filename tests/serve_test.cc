@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/gcon.h"
 #include "core/model_io.h"
 #include "graph/datasets.h"
 #include "model/adapters.h"
@@ -150,6 +151,45 @@ TEST(InferenceSession, GenericModeServesAnyRegistryModel) {
 }
 
 // --- InferenceServer: micro-batching under concurrency ---------------------
+
+// The release path (train, release, offline inference, session init and
+// publish) reads the graph's CSR feature store only: the dense n x d0
+// feature matrix is never built. Covers a bag-of-words spec (sparse layer 0)
+// and TinySpec (density 0.2, GEMM layer 0).
+TEST(ReleasePath, NeverBuildsTheDenseFeatureMatrix) {
+  for (const DatasetSpec& spec : {Scaled(CoraMlSpec(), 0.1), TinySpec()}) {
+    SCOPED_TRACE(spec.name);
+    Rng rng(31);
+    const auto graph =
+        std::make_shared<const Graph>(GenerateDataset(spec, &rng));
+    const Split split = MakeSplit(spec, *graph, &rng);
+    GconConfig config;
+    config.encoder.epochs = 10;
+    config.steps = {0, 2};
+    const GconModel model = TrainGcon(*graph, split, config);
+    const GconPrepared prepared = PrepareGcon(*graph, split, config);
+    const GconArtifact artifact = MakeArtifact(prepared, model, 1.0, 1e-5);
+    const Matrix offline = artifact.Infer(*graph);
+    PrivateInferenceOnGraph(prepared, model, *graph);
+    PublicInferenceOnGraph(prepared, model, *graph);
+
+    std::vector<ModelRouter::NamedModel> models;
+    models.push_back({"m", InferenceSession(artifact, graph)});
+    ServeOptions options;
+    options.threads = 1;
+    InferenceServer server(std::move(models), options);
+    GconArtifact next = artifact;
+    next.theta(0, 0) += 1.0;
+    server.Publish("m", InferenceSession(next, graph));
+    ServeRequest request;
+    request.node = 1;
+    EXPECT_TRUE(BitwiseEqualRow(offline, 1,
+                                InferenceSession(artifact, graph)
+                                    .QueryLogits(request)));
+    server.Drain();
+    EXPECT_FALSE(graph->dense_features_built());
+  }
+}
 
 TEST(InferenceServer, ConcurrentClientsGetBitwiseOfflineAnswers) {
   const Graph graph = TestGraph();

@@ -58,6 +58,13 @@ violation before it becomes a silent race or a broken memcmp proof:
                       observability tier sits below serving: serve/
                       instruments itself through obs/, and an include the
                       other way inverts the layering.
+  release-path-csr-features
+                      No Graph::features() (the lazily built dense n x d0
+                      copy of X) under src/core/, src/serve/, src/nn/ or
+                      src/propagation/. The release path reads the CSR
+                      feature store, feature_csr(); one dense call there
+                      brings back the 66 MiB cora_ml matrix the CSR store
+                      removed from train, publish and serve.
 
 Checks run on comment-stripped text (string literals are preserved), so a
 doc comment *describing* a forbidden pattern does not trip the gate.
@@ -170,6 +177,15 @@ RULES = [
         "scan": ["src"],
         "allow": [],
         "only": ["src/obs/"],
+    },
+    {
+        "id": "release-path-csr-features",
+        "summary": "Graph::features() (the dense copy of X) on the release "
+                   "path (read feature_csr() instead)",
+        "pattern": re.compile(r"(?:\.|->)features\(\)"),
+        "scan": ["src"],
+        "allow": [],
+        "only": ["src/core/", "src/serve/", "src/nn/", "src/propagation/"],
     },
 ]
 
