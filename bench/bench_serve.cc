@@ -1,7 +1,7 @@
 // Closed-loop load generator for the inference serving subsystem.
 //
 //   ./build/bench_serve [--clients=8] [--window=16] [--queries=30000]
-//                       [--threads=2] [--max_batch=64] [--max_wait_us=200]
+//                       [--threads=2] [--max_batch=64]
 //                       [--dataset=cora_ml] [--scale=1.0] [--seed=1]
 //
 // Drives N pipelined closed-loop client threads (each keeps `window`
@@ -50,7 +50,7 @@
 // Emits one JSON object on stdout:
 //
 //   {"workload": ..., "nodes": ..., "clients": ..., "queries": ...,
-//    "threads": ..., "max_batch": ..., "max_wait_us": ...,
+//    "threads": ..., "max_batch": ...,
 //    "single":  {"qps": ..., "p50_us": ..., "p95_us": ..., "p99_us": ...,
 //                "mean_batch": ...},
 //    "batched": {...}, "routed": {...}, "inductive": {...},
@@ -527,7 +527,6 @@ int main(int argc, char** argv) {
        {"queries", "total timed queries per mode (default 30000)"},
        {"threads", "server batch workers (default 2)"},
        {"max_batch", "batched-mode coalescing limit (default 64)"},
-       {"max_wait_us", "batch coalescing deadline in us (default 200)"},
        {"dataset", "synthetic dataset name (default cora_ml)"},
        {"scale", "dataset scale factor (default 1.0)"},
        {"seed", "RNG seed (default 1)"}});
@@ -538,7 +537,6 @@ int main(int argc, char** argv) {
   gcon::ServeOptions batched;
   batched.threads = flags.GetPositiveInt("threads", 2);
   batched.max_batch = flags.GetPositiveInt("max_batch", 64);
-  batched.max_wait_us = flags.GetPositiveInt("max_wait_us", 200);
 
   const gcon::DatasetSpec spec =
       gcon::Scaled(gcon::SpecByName(flags.GetString("dataset", "cora_ml")),
@@ -678,8 +676,7 @@ int main(int argc, char** argv) {
       << graph.num_nodes() << ", \"clients\": " << clients << ", \"window\": " << window
       << ", \"queries\": " << queries
       << ", \"threads\": " << batched.threads
-      << ", \"max_batch\": " << batched.max_batch
-      << ", \"max_wait_us\": " << batched.max_wait_us << ", ";
+      << ", \"max_batch\": " << batched.max_batch << ", ";
   AppendMode(&out, "single", single_result);
   out << ", ";
   AppendMode(&out, "batched", batched_result);

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <iostream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -72,7 +73,6 @@ int main(int argc, char** argv) {
   gcon::ServeOptions options;
   options.threads = 2;
   options.max_batch = 16;
-  options.max_wait_us = 200;
   gcon::InferenceServer server(
       gcon::InferenceSession::FromFile(model_path, graph), options);
 
@@ -131,8 +131,12 @@ int main(int argc, char** argv) {
   // same domain — new session, zero additional privacy budget.
   gcon::Rng rng2(17);
   const gcon::Graph other = gcon::GenerateDataset(spec, &rng2);
-  gcon::InferenceServer transfer_server(
-      gcon::InferenceSession::FromFile(model_path, other), options);
+  // Its own model name: the serving counters are per model name, so a
+  // second live "default" would count in the first server's stats too.
+  std::vector<gcon::ModelRouter::NamedModel> transfer_models;
+  transfer_models.push_back(
+      {"transfer", gcon::InferenceSession::FromFile(model_path, other)});
+  gcon::InferenceServer transfer_server(std::move(transfer_models), options);
   gcon::Matrix transfer(static_cast<std::size_t>(other.num_nodes()),
                         static_cast<std::size_t>(other.num_classes()));
   std::vector<int> all_nodes;

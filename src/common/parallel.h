@@ -112,8 +112,7 @@ void ParallelFor(int n, int threads, const std::function<void(int)>& fn);
 /// gcc 12.2 Release: one GEMM k-slab is 0.7x at 2^17, 1.3x at 2^18 and
 /// 1.5-2.5x from 2^20 (BM_DenseGemm/256 and the 2,879-row
 /// BM_EncoderLayer0Dense/*/1 gradient are far above); SpMM is 1.4x at
-/// 2^16 and 1.8-2.5x from 2^18. MatVec and MatVecTransA, which no
-/// production path calls, break even only at 2^19-2^21.
+/// 2^16 and 1.8-2.5x from 2^18.
 inline constexpr std::int64_t kParallelMinWork = 1 << 18;
 
 /// The kernels' entry point: runs block(i) for every i in [0, blocks),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -94,6 +95,21 @@ CsrMatrix FeatureCsr(std::vector<FeatureEntry> entries, std::size_t rows,
 }  // namespace
 
 void SaveGraph(const Graph& graph, const std::string& path) {
+  const CsrMatrix& x = graph.feature_csr();
+  // LoadGraph refuses non-finite values, so refuse to write a file it
+  // could not read back — before anything reaches the disk.
+  for (int v = 0; v < graph.num_nodes(); ++v) {
+    const std::size_t row = static_cast<std::size_t>(v);
+    for (std::int64_t k = x.row_ptr()[row]; k < x.row_ptr()[row + 1]; ++k) {
+      const double value = x.values()[static_cast<std::size_t>(k)];
+      if (std::isfinite(value)) continue;
+      throw std::runtime_error(
+          "graph file '" + path + "': node " + std::to_string(v) +
+          " feature " +
+          std::to_string(x.col_idx()[static_cast<std::size_t>(k)]) +
+          " is non-finite (" + std::to_string(value) + ")");
+    }
+  }
   std::ofstream out(path);
   GCON_CHECK(out.good()) << "cannot open " << path << " for writing";
   out << "gcon-graph v1\n";
@@ -103,7 +119,6 @@ void SaveGraph(const Graph& graph, const std::string& path) {
   for (int v = 0; v < graph.num_nodes(); ++v) {
     out << "L " << v << " " << graph.label(v) << "\n";
   }
-  const CsrMatrix& x = graph.feature_csr();
   std::string line;
   char number[32];
   const auto append = [&line, &number](auto value) {

@@ -21,7 +21,9 @@
 
 namespace gcon {
 
-/// Writes `graph` to `path`. Aborts on I/O failure.
+/// Writes `graph` to `path`. Throws std::runtime_error naming the path,
+/// node and feature when a feature value is NaN or infinite (LoadGraph
+/// would refuse the file), before opening it; aborts on I/O failure.
 void SaveGraph(const Graph& graph, const std::string& path);
 
 /// Reads a graph from `path` into canonical CSR features (a repeated

@@ -36,53 +36,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
-  GCON_CHECK_EQ(a.cols(), x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  const std::size_t m = a.rows();
-  constexpr std::size_t kRowChunk = 256;
-  auto rows = [&](int chunk) {
-    const std::size_t i0 = static_cast<std::size_t>(chunk) * kRowChunk;
-    for (std::size_t i = i0; i < std::min(i0 + kRowChunk, m); ++i) {
-      const double* arow = a.RowPtr(i);
-      double acc = 0.0;
-      for (std::size_t j = 0; j < a.cols(); ++j) {
-        acc += arow[j] * x[j];
-      }
-      y[i] = acc;
-    }
-  };
-  ParallelBlocks(static_cast<int>((m + kRowChunk - 1) / kRowChunk),
-                 static_cast<std::int64_t>(a.size()), rows);
-  return y;
-}
-
-std::vector<double> MatVecTransA(const Matrix& a,
-                                 const std::vector<double>& x) {
-  GCON_CHECK_EQ(a.rows(), x.size());
-  const std::size_t n = a.cols();
-  std::vector<double> y(n, 0.0);
-  // Each block owns a contiguous range of output columns and streams its
-  // slice of every row, so y[j] is accumulated by one thread in row order
-  // (deterministic) and writes never race. No zero-skip on x[i]: a zero
-  // weight against a NaN/Inf feature must still poison the output.
-  constexpr std::size_t kColBlock = 512;
-  auto columns = [&](int blk) {
-    const std::size_t j0 = static_cast<std::size_t>(blk) * kColBlock;
-    const std::size_t j1 = std::min(j0 + kColBlock, n);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double* arow = a.RowPtr(i);
-      const double xi = x[i];
-      for (std::size_t j = j0; j < j1; ++j) {
-        y[j] += xi * arow[j];
-      }
-    }
-  };
-  ParallelBlocks(static_cast<int>((n + kColBlock - 1) / kColBlock),
-                 static_cast<std::int64_t>(a.size()), columns);
-  return y;
-}
-
 Matrix Transpose(const Matrix& a) {
   Matrix t(a.cols(), a.rows());
   // Cache-blocked: each tile reads a.rows-major and writes t.rows-major

@@ -52,12 +52,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 void Gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
           Matrix* c);
 
-/// y = A * x (matrix-vector).
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
-
-/// y = A^T * x.
-std::vector<double> MatVecTransA(const Matrix& a, const std::vector<double>& x);
-
 // ---------------------------------------------------------------------------
 // Element-wise and structural ops
 // ---------------------------------------------------------------------------

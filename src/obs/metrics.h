@@ -40,6 +40,13 @@ namespace obs {
 
 /// Global arm switch for every metric handle. Relaxed load: the only
 /// consistency a monitoring counter needs is that updates eventually land.
+///
+/// The serving counters of `stats` (queries, batches, rejections) and
+/// InferenceServer::queries_served()/batches_run() read these series, so
+/// they pause with the registry while it is disarmed; only tests and
+/// bench_serve's obs-off run (which reports only qps) disarm it. The
+/// series are keyed by model name, so two live servers in one process
+/// that serve the same model name share its series.
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 

@@ -19,6 +19,9 @@ namespace {
 // microsecond every already-queued client waits.
 constexpr std::chrono::microseconds kArrivalLull(5);
 
+// The longest a lone query is held back for company, past its arrival.
+constexpr std::chrono::microseconds kMaxWait(200);
+
 [[noreturn]] void BadOption(const char* name, int value) {
   throw std::invalid_argument("serve option '" + std::string(name) +
                               "' must be >= 1 (got " + std::to_string(value) +
@@ -30,7 +33,6 @@ constexpr std::chrono::microseconds kArrivalLull(5);
 void ServeOptions::Validate() const {
   if (threads < 1) BadOption("threads", threads);
   if (max_batch < 1) BadOption("max_batch", max_batch);
-  if (max_wait_us < 1) BadOption("max_wait_us", max_wait_us);
   if (max_queue < 0) {
     throw std::invalid_argument(
         "serve option 'max_queue' must be >= 0 (0 = unbounded; got " +
@@ -82,12 +84,13 @@ MicroBatcher::MicroBatcher(ServeOptions options,
                              {{"model", model}});
     m.peak = registry.gauge(
         "gcon_serve_queue_peak",
-        "High-water mark of the pending queue since server start.",
+        "High-water mark of the pending queue since the last stats reset.",
         {{"model", model}});
     m.batch_size = registry.histogram(
         "gcon_serve_batch_size",
         "Queries coalesced per handler call (batch-size distribution).",
         {{"model", model}});
+    queue.base = Read(queue);
   }
   workers_.reserve(static_cast<std::size_t>(options_.threads));
   for (int t = 0; t < options_.threads; ++t) {
@@ -150,7 +153,6 @@ std::future<ServeResponse> MicroBatcher::Submit(std::size_t queue,
         target.pending.size() >= static_cast<std::size_t>(options_.max_queue);
     if (queue_full ||
         FaultInjector::Global().ShouldFire(Fault::kQueueFull)) {
-      ++target.rejected_overload;
       target.metrics.rejected_overload->Increment();
       throw ServeError(ServeErrorCode::kOverloaded,
                        "model queue full (max_queue=" +
@@ -165,12 +167,9 @@ std::future<ServeResponse> MicroBatcher::Submit(std::size_t queue,
     if (target.pending.size() > target.queue_peak) {
       target.queue_peak = target.pending.size();
     }
-    // Registry mirrors of the admission counters are refreshed at scrape
-    // time (RefreshObsMetrics) — a per-query registry touch inside this
-    // critical section is measurable against the obs_overhead_qps_ratio
-    // gate; a plain increment under the already-held mutex is not.
-    ++target.accepted_total;
   }
+  // Outside the critical section: the relaxed add must not lengthen it.
+  queues_[queue]->metrics.accepted->Increment();
   arrival_cv_.notify_one();
   return future;
 }
@@ -208,9 +207,7 @@ MicroBatcher::Queue* MicroBatcher::TakeBatchLocked(
     // model must not idle this worker — is worth holding back, briefly,
     // for company.
     if (total_pending_ == 1 && max_batch > 1 && !stopping_ && !draining_) {
-      const auto deadline =
-          queue->pending.front()->enqueued +
-          std::chrono::microseconds(options_.max_wait_us);
+      const auto deadline = queue->pending.front()->enqueued + kMaxWait;
       while (queue->pending.size() < max_batch && !stopping_ && !draining_ &&
              total_pending_ == queue->pending.size()) {
         const auto now = std::chrono::steady_clock::now();
@@ -281,14 +278,6 @@ void MicroBatcher::WorkerMain() {
         batch.resize(keep);
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue->rejected_deadline += expired.size();
-      if (!batch.empty()) {
-        ++queue->batches_run;
-        queue->queries_served += batch.size();
-      }
-    }
     if (!expired.empty()) {
       queue->metrics.rejected_deadline->Increment(expired.size());
     }
@@ -334,10 +323,7 @@ void MicroBatcher::WorkerMain() {
 void MicroBatcher::ResetCounters() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& queue : queues_) {
-    queue->queries_served = 0;
-    queue->batches_run = 0;
-    queue->rejected_overload = 0;
-    queue->rejected_deadline = 0;
+    queue->base = Read(*queue);
     queue->queue_peak = 0;
     queue->latency.Reset();
   }
@@ -346,16 +332,6 @@ void MicroBatcher::ResetCounters() {
 void MicroBatcher::RefreshObsMetrics() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& queue : queues_) {
-    // Counter mirror: the registry counter is process-global, so add only
-    // this queue's admissions since its last mirrored scrape. The mark
-    // moves under mu_ (no double count) and only while the registry is
-    // armed (a disarmed Increment is dropped; the next scrape catches up).
-    if (obs::MetricsEnabled() &&
-        queue->accepted_total > queue->accepted_mirrored) {
-      queue->metrics.accepted->Increment(queue->accepted_total -
-                                         queue->accepted_mirrored);
-      queue->accepted_mirrored = queue->accepted_total;
-    }
     queue->metrics.depth->Set(static_cast<double>(queue->pending.size()));
     queue->metrics.peak->Set(static_cast<double>(queue->queue_peak));
   }
@@ -366,56 +342,33 @@ const LatencyStats& MicroBatcher::latency(std::size_t queue) const {
   return queues_[queue]->latency;
 }
 
-std::uint64_t MicroBatcher::queries_served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& queue : queues_) total += queue->queries_served;
-  return total;
+MicroBatcher::Counts MicroBatcher::Read(const Queue& queue) {
+  const LatencyStats& batch_sizes = queue.metrics.batch_size->stats();
+  return {batch_sizes.SumUs(), batch_sizes.TotalCount(),
+          queue.metrics.rejected_overload->value(),
+          queue.metrics.rejected_deadline->value()};
 }
 
-std::uint64_t MicroBatcher::batches_run() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& queue : queues_) total += queue->batches_run;
-  return total;
-}
-
-std::uint64_t MicroBatcher::queries_served(std::size_t queue) const {
+MicroBatcher::Counts MicroBatcher::CountsSinceBase(std::size_t queue) const {
   GCON_CHECK_LT(queue, queues_.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[queue]->queries_served;
+  const Queue& q = *queues_[queue];
+  Counts base;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    base = q.base;
+  }
+  const Counts now = Read(q);
+  return {now.queries - base.queries, now.batches - base.batches,
+          now.rejected_overload - base.rejected_overload,
+          now.rejected_deadline - base.rejected_deadline};
 }
 
-std::uint64_t MicroBatcher::batches_run(std::size_t queue) const {
-  GCON_CHECK_LT(queue, queues_.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[queue]->batches_run;
-}
-
-std::uint64_t MicroBatcher::rejected_overload() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::uint64_t MicroBatcher::Total(std::uint64_t Counts::*field) const {
   std::uint64_t total = 0;
-  for (const auto& queue : queues_) total += queue->rejected_overload;
+  for (std::size_t q = 0; q < queues_.size(); ++q) {
+    total += CountsSinceBase(q).*field;
+  }
   return total;
-}
-
-std::uint64_t MicroBatcher::rejected_deadline() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& queue : queues_) total += queue->rejected_deadline;
-  return total;
-}
-
-std::uint64_t MicroBatcher::rejected_overload(std::size_t queue) const {
-  GCON_CHECK_LT(queue, queues_.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[queue]->rejected_overload;
-}
-
-std::uint64_t MicroBatcher::rejected_deadline(std::size_t queue) const {
-  GCON_CHECK_LT(queue, queues_.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[queue]->rejected_deadline;
 }
 
 std::uint64_t MicroBatcher::queue_peak(std::size_t queue) const {

@@ -6,9 +6,9 @@
 //
 //   * a worker that finds requests queued takes up to max_batch of them;
 //   * a lone pending query is held back briefly for company — never beyond
-//     `max_wait_us` past its arrival, and given up as soon as an arrival
-//     lull (a few microseconds, kArrivalLull in batcher.cc) suggests no one
-//     else is coming. An existing backlog ships immediately: under load the
+//     200 us past its arrival (kMaxWait in batcher.cc), and given up as
+//     soon as an arrival lull (a few microseconds, kArrivalLull) suggests
+//     no one else is coming. An existing backlog ships immediately: under load the
 //     queue refills while the previous batch computes, so batches form
 //     naturally and the deadline is a latency bound, not a throughput tax.
 //
@@ -55,7 +55,6 @@ namespace gcon {
 struct ServeOptions {
   int threads = 1;       ///< batch worker threads (shared across queues)
   int max_batch = 32;    ///< queries coalesced into one handler call
-  int max_wait_us = 200; ///< coalescing deadline past the oldest arrival
   /// Admission control: per-model pending-queue cap. A Submit against a
   /// full queue throws ServeError(kOverloaded) instead of growing the
   /// queue without bound. 0 = unbounded (the pre-robustness behavior).
@@ -143,33 +142,46 @@ class MicroBatcher {
   /// Enqueue-to-completion latency of every completed query on `queue`.
   const LatencyStats& latency(std::size_t queue = 0) const;
 
-  /// Zeroes the query/batch counters and latency histograms of every
-  /// queue. Call quiesced (no in-flight queries) — benches use it to drop
-  /// warm-up traffic from the reported numbers.
+  /// Starts the query/batch/rejection counters, queue peaks and latency
+  /// histograms of every queue over from zero. The counters are the
+  /// Prometheus-monotonic registry series, which never go backwards: this
+  /// snapshots them as the base the accessors subtract. Call quiesced (no
+  /// in-flight queries) — benches use it to drop warm-up traffic from the
+  /// reported numbers.
   void ResetCounters();
 
-  /// Pushes the current admission state into the global metrics registry:
-  /// the accepted-total mirror, queue depth, and queue peak per queue. The
-  /// hot path only bumps plain counters under the mutex it already holds;
-  /// the registry handles are written here, at scrape time (the `metrics`
-  /// admin verb calls this before rendering) — a Prometheus scrape is a
-  /// snapshot either way, and this keeps the per-query cost of the
-  /// observability tier at zero registry touches.
+  /// Sets the queue-depth and queue-peak gauges from the pending queues.
+  /// The `metrics` admin verb calls this before rendering; every counter
+  /// series is already live.
   void RefreshObsMetrics();
 
   std::size_t num_queues() const { return queues_.size(); }
-  /// Aggregates across every queue.
-  std::uint64_t queries_served() const;
-  std::uint64_t batches_run() const;
-  std::uint64_t rejected_overload() const;
-  std::uint64_t rejected_deadline() const;
+  /// Aggregates across every queue, since construction or the last
+  /// ResetCounters. They read the registry series, so they pause while
+  /// obs::SetMetricsEnabled(false) is in force.
+  std::uint64_t queries_served() const { return Total(&Counts::queries); }
+  std::uint64_t batches_run() const { return Total(&Counts::batches); }
+  std::uint64_t rejected_overload() const {
+    return Total(&Counts::rejected_overload);
+  }
+  std::uint64_t rejected_deadline() const {
+    return Total(&Counts::rejected_deadline);
+  }
   /// Per-queue counters.
-  std::uint64_t queries_served(std::size_t queue) const;
-  std::uint64_t batches_run(std::size_t queue) const;
+  std::uint64_t queries_served(std::size_t queue) const {
+    return CountsSinceBase(queue).queries;
+  }
+  std::uint64_t batches_run(std::size_t queue) const {
+    return CountsSinceBase(queue).batches;
+  }
   /// Submissions refused because the queue was at max_queue.
-  std::uint64_t rejected_overload(std::size_t queue) const;
+  std::uint64_t rejected_overload(std::size_t queue) const {
+    return CountsSinceBase(queue).rejected_overload;
+  }
   /// Accepted queries dropped in queue when their deadline passed.
-  std::uint64_t rejected_deadline(std::size_t queue) const;
+  std::uint64_t rejected_deadline(std::size_t queue) const {
+    return CountsSinceBase(queue).rejected_deadline;
+  }
   /// High-water mark of the pending queue since the last ResetCounters —
   /// the observable bound admission control promises.
   std::uint64_t queue_peak(std::size_t queue) const;
@@ -177,12 +189,9 @@ class MicroBatcher {
 
  private:
   /// Registry handles for one queue, fetched once at construction. The
-  /// counters are Prometheus-monotonic: ResetCounters() zeroes the local
-  /// stats-JSON counters but never these. `accepted`, `depth`, and `peak`
-  /// are mirrors written only by RefreshObsMetrics (scrape time); the
-  /// rejection counters and batch-size histogram are updated live — those
-  /// sites are off the per-query fast path (rejections are exceptional,
-  /// batch formation is amortized 1/mean_batch per query).
+  /// counters and the batch-size histogram (count = batches, sum = queries)
+  /// are updated live and are the only copy of those numbers; `depth` and
+  /// `peak` are set by RefreshObsMetrics (scrape time).
   struct QueueMetrics {
     obs::Counter* accepted = nullptr;
     obs::Counter* rejected_overload = nullptr;
@@ -193,26 +202,38 @@ class MicroBatcher {
     obs::Histogram* batch_size = nullptr;
   };
 
-  /// One model's lane: its pending deque, counters, and histogram. The
-  /// handler is fixed at construction; everything else is guarded by mu_
-  /// (the LatencyStats is internally lock-free).
+  /// The stats-visible counters of one queue, read from its registry
+  /// series.
+  struct Counts {
+    std::uint64_t queries = 0;
+    std::uint64_t batches = 0;
+    std::uint64_t rejected_overload = 0;
+    std::uint64_t rejected_deadline = 0;
+  };
+
+  /// One model's lane: its pending deque, registry handles, and latency
+  /// histogram. The handler and the handles are fixed at construction;
+  /// `pending`, `queue_peak` and `base` are guarded by mu_ (the
+  /// LatencyStats is internally lock-free).
   struct Queue {
     explicit Queue(BatchHandler h) : handler(std::move(h)) {}
     BatchHandler handler;
     std::deque<std::unique_ptr<PendingQuery>> pending;
-    std::uint64_t queries_served = 0;
-    std::uint64_t batches_run = 0;
-    std::uint64_t rejected_overload = 0;
-    std::uint64_t rejected_deadline = 0;
     std::uint64_t queue_peak = 0;
-    /// Admissions since construction. NOT zeroed by ResetCounters — it
-    /// backs the Prometheus-monotonic gcon_serve_accepted_total mirror.
-    std::uint64_t accepted_total = 0;
-    /// The part of accepted_total already added to that counter.
-    std::uint64_t accepted_mirrored = 0;
+    /// Registry readings at construction or the last ResetCounters. The
+    /// series are process-global per model label, so a later server with
+    /// the same model name starts from here, not from zero.
+    Counts base;
     LatencyStats latency;
     QueueMetrics metrics;
   };
+
+  /// The registry series of `queue` now (no base subtracted).
+  static Counts Read(const Queue& queue);
+  /// `queue`'s counters since its base.
+  Counts CountsSinceBase(std::size_t queue) const;
+  /// Sum of one Counts field across every queue.
+  std::uint64_t Total(std::uint64_t Counts::*field) const;
 
   void WorkerMain();
   /// Pops the next batch into *batch and returns its queue (caller holds

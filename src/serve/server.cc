@@ -837,8 +837,7 @@ int RunTcpServer(InferenceServer* server, int port,
             << server->session().num_nodes() << " nodes, "
             << server->session().num_classes() << " classes, threads="
             << server->options().threads << " max_batch="
-            << server->options().max_batch << " max_wait_us="
-            << server->options().max_wait_us
+            << server->options().max_batch
             << ", transports=json+binary, " << obs::BuildSummary() << ")"
             << std::endl;
   if (bound_port != nullptr) {

@@ -130,12 +130,16 @@ class InferenceServer {
   /// model (merged histograms); the indexed form reads one model's.
   LatencyStats::Snapshot latency() const;
   LatencyStats::Snapshot latency(int model) const;
+  /// Read from the per-model-name registry series (see
+  /// obs::SetMetricsEnabled): another live server in the process that
+  /// serves the same model name counts here too.
   std::uint64_t queries_served() const;
   std::uint64_t batches_run() const;
 
-  /// Drops the counters and histograms of every model (call quiesced; see
-  /// MicroBatcher::ResetCounters). Benches separate warm-up from the
-  /// measured run with this.
+  /// Starts the counters and histograms of every model over from zero
+  /// (call quiesced; see MicroBatcher::ResetCounters). The Prometheus
+  /// series keep counting. Benches separate warm-up from the measured run
+  /// with this.
   void ResetStats();
 
   /// {"queries": ..., "batches": ..., "mean_batch": ..., percentiles...,
@@ -156,8 +160,8 @@ class InferenceServer {
   /// The process-lifetime budget ledger backing this server's accounting.
   const BudgetLedger& budget_ledger() const { return *ledger_; }
 
-  /// The `metrics` admin verb's body: refreshes the scrape-time metric
-  /// mirrors (queue depth/peak, accepted totals) and renders the global
+  /// The `metrics` admin verb's body: refreshes the scrape-time queue
+  /// depth/peak gauges and renders the global
   /// registry's Prometheus text exposition. Both transports answer with
   /// exactly this string.
   std::string MetricsText();

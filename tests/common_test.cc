@@ -130,7 +130,7 @@ TEST(FlagsDeathTest, OutOfRangeIntRejected) {
 }
 
 TEST(FlagsDeathTest, GetPositiveIntRejectsZeroAndNegativeNamingTheFlag) {
-  // Serving knobs (--threads/--max_batch/--max_wait_us) use this: zero is
+  // Serving knobs (--threads/--max_batch) use this: zero is
   // not a mode, it is a broken invocation that must fail loudly.
   const char* argv[] = {"prog", "--threads=0", "--max_batch=-4"};
   Flags flags(3, const_cast<char**>(argv),

@@ -173,6 +173,31 @@ TEST(Io, SaveLoadRoundTripsEveryDoubleExactly) {
   EXPECT_NE(ones_text.find("\nF 0 0:1 2:2\n"), std::string::npos) << ones_text;
 }
 
+TEST(Io, SaveGraphRefusesNonFiniteFeatures) {
+  // LoadGraph refuses `nan` and `inf`, so SaveGraph must not write them:
+  // it throws naming the path, node and feature, and leaves no file.
+  const std::string path = "/tmp/gcon_io_test_nonfinite.graph";
+  for (const double bad : {std::nan(""), -HUGE_VAL}) {
+    std::remove(path.c_str());
+    Graph g(2, 2);
+    Matrix x(2, 3);
+    x(0, 0) = 1.0;
+    x(1, 2) = bad;
+    g.set_features(x);
+    try {
+      SaveGraph(g, path);
+      ADD_FAILURE() << "SaveGraph wrote a non-finite feature (" << bad << ")";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+      EXPECT_NE(message.find("node 1"), std::string::npos) << message;
+      EXPECT_NE(message.find("feature 2"), std::string::npos) << message;
+      EXPECT_FALSE(std::filesystem::exists(path));
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Graph, FeatureStoreRoundTripsThroughCsrAndDenseView) {
   Matrix x(3, 4);
   x(0, 1) = 2.5;

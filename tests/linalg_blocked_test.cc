@@ -128,8 +128,8 @@ TEST(BlockedGemm, RepeatedCallsAreBitwiseIdentical) {
 
 // --- NaN/Inf policy ---------------------------------------------------------
 // The seed kernels skipped `av == 0` operands, so a NaN/Inf in the other
-// matrix silently vanished from the product. The blocked kernels (and the
-// rewritten MatVecTransA) must propagate them.
+// matrix silently vanished from the product. The blocked kernels must
+// propagate them.
 
 TEST(NanPolicy, GemmPropagatesNanPastZeroInA) {
   Matrix a(2, 2);  // all zeros
@@ -155,15 +155,6 @@ TEST(NanPolicy, TransAPropagatesNanPastZeroInA) {
   const Matrix c = MatMulTransA(a, b);
   EXPECT_TRUE(std::isnan(c(0, 1)));
 }
-
-TEST(NanPolicy, MatVecTransAPropagatesNanPastZeroWeight) {
-  Matrix a{{std::numeric_limits<double>::quiet_NaN(), 1.0}};
-  const auto y = MatVecTransA(a, {0.0});
-  EXPECT_TRUE(std::isnan(y[0]));  // 0 * NaN
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-}
-
-// --- parallelized aux kernels ----------------------------------------------
 
 // --- sparse products --------------------------------------------------------
 // CsrMatrix::BlockedMultiply skips structural zeros but must still produce,
@@ -269,33 +260,6 @@ TEST(NanPolicy, SparseProductConfinesNanWeightRowToStoringRows) {
   EXPECT_EQ(sparse(2, 0), 0.0);
   const Matrix dense = MatMul(x, w);  // 0 * NaN poisons every row
   for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(std::isnan(dense(i, 0)));
-}
-
-TEST(ParallelKernels, MatVecMatchesManual) {
-  Rng rng(127);
-  const Matrix a = RandomMatrix(83, 217, &rng);
-  std::vector<double> x(217);
-  for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  const auto y = MatVec(a, x);
-  for (std::size_t i : {std::size_t{0}, std::size_t{41}, std::size_t{82}}) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * x[j];
-    EXPECT_NEAR(y[i], acc, 1e-10);
-  }
-}
-
-TEST(ParallelKernels, MatVecTransAMatchesTransposeMatVec) {
-  Rng rng(131);
-  // > 512 columns crosses the column-block boundary.
-  const Matrix a = RandomMatrix(37, 700, &rng);
-  std::vector<double> x(37);
-  for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  const auto got = MatVecTransA(a, x);
-  const auto want = MatVec(Transpose(a), x);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t j = 0; j < got.size(); ++j) {
-    EXPECT_NEAR(got[j], want[j], 1e-10);
-  }
 }
 
 TEST(ParallelKernels, TransposeTiledMatchesElementwise) {

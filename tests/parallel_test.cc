@@ -212,30 +212,6 @@ TEST(ParallelKernels, GemmSameBitsOnPoolAndInline) {
   }
 }
 
-TEST(ParallelKernels, MatVecSameBitsOnPoolAndInline) {
-  // 256-row chunks, work rows*cols.
-  for (const Shape s : {Shape{1000, 300, true}, Shape{600, 100, false}}) {
-    SCOPED_TRACE(s.rows);
-    EXPECT_EQ(static_cast<std::int64_t>(s.rows * s.cols) >= kParallelMinWork,
-              s.above);
-    const Matrix a = RandomMatrix(s.rows, s.cols, 1.0, 3);
-    const std::vector<double> x = Flat(RandomMatrix(s.cols, 1, 1.0, 4));
-    ExpectSameBitsEverywhere([&] { return MatVec(a, x); });
-  }
-}
-
-TEST(ParallelKernels, MatVecTransASameBitsOnPoolAndInline) {
-  // 512-column blocks, work rows*cols.
-  for (const Shape s : {Shape{300, 1500, true}, Shape{50, 1100, false}}) {
-    SCOPED_TRACE(s.rows);
-    EXPECT_EQ(static_cast<std::int64_t>(s.rows * s.cols) >= kParallelMinWork,
-              s.above);
-    const Matrix a = RandomMatrix(s.rows, s.cols, 1.0, 5);
-    const std::vector<double> x = Flat(RandomMatrix(s.rows, 1, 1.0, 6));
-    ExpectSameBitsEverywhere([&] { return MatVecTransA(a, x); });
-  }
-}
-
 TEST(ParallelKernels, TransposeSameBitsOnPoolAndInline) {
   // 64-column tiles, work rows*cols.
   for (const Shape s : {Shape{600, 500, true}, Shape{200, 200, false}}) {

@@ -335,38 +335,103 @@ TEST_F(ServeObservabilityTest, JsonMetricsVerbCountsAcceptedQueries) {
                    client.bytes_sent(), client.bytes_received());
 }
 
+/// One-model ("default") server over the tiny graph, one batch worker.
+std::unique_ptr<InferenceServer> OneModelServer(const Graph& graph,
+                                                const GconArtifact& artifact) {
+  std::vector<ModelRouter::NamedModel> models;
+  models.push_back({"default", InferenceSession(artifact, graph)});
+  ServeOptions options;
+  options.threads = 1;
+  return std::make_unique<InferenceServer>(std::move(models), options);
+}
+
 TEST(ServeObservabilityAccepted, EachServerInAProcessCountsItsOwnQueries) {
-  // gcon_serve_accepted_total is process-global while each server's
-  // admission total starts at zero, so a later server's scrapes must add
-  // its own admissions, not whatever the global counter lacks. The second
-  // server also scrapes once while the registry is disarmed; the next
-  // armed scrape must still catch up.
+  // gcon_serve_accepted_total is process-global, so each server in turn
+  // must move it by exactly its own admissions. The second server also
+  // scrapes once while the registry is disarmed, which must not change
+  // what the next armed scrape reads.
   const Graph graph = serve_test::TestGraph(9);
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
   const std::string series = "gcon_serve_accepted_total{model=\"default\"}";
   for (const int queries : {3, 2}) {
-    std::vector<ModelRouter::NamedModel> models;
-    models.push_back({"default", InferenceSession(artifact, graph)});
-    ServeOptions options;
-    options.threads = 1;
-    InferenceServer server(std::move(models), options);
+    auto server = OneModelServer(graph, artifact);
     const double before =
-        std::max(SeriesValue(server.MetricsText(), series), 0.0);
+        std::max(SeriesValue(server->MetricsText(), series), 0.0);
     for (int q = 0; q < queries; ++q) {
       ServeRequest request;
       request.id = q;
       request.node = q;
-      EXPECT_EQ(server.Query(request).node, q);
+      EXPECT_EQ(server->Query(request).node, q);
     }
     if (queries == 2) {
       obs::SetMetricsEnabled(false);
-      server.MetricsText();
+      server->MetricsText();
       obs::SetMetricsEnabled(true);
     }
-    EXPECT_DOUBLE_EQ(SeriesValue(server.MetricsText(), series) - before,
+    EXPECT_DOUBLE_EQ(SeriesValue(server->MetricsText(), series) - before,
                      static_cast<double>(queries))
         << "server answering " << queries << " queries";
   }
+}
+
+TEST(ServeObservabilitySingleSource, RegistryCountsAdmissionsWithoutAScrape) {
+  // The registry series is the counter itself, not a mirror a server
+  // refreshes when it renders `metrics`: reading the global registry
+  // directly must already show every admission.
+  const Graph graph = serve_test::TestGraph(9);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
+  const std::string series = "gcon_serve_accepted_total{model=\"default\"}";
+  const auto& registry = obs::MetricsRegistry::Global();
+  auto server = OneModelServer(graph, artifact);
+  const double before =
+      std::max(SeriesValue(registry.PrometheusText(), series), 0.0);
+  constexpr int kQueries = 5;
+  for (int q = 0; q < kQueries; ++q) {
+    ServeRequest request;
+    request.id = q;
+    request.node = q;
+    EXPECT_EQ(server->Query(request).node, q);
+  }
+  EXPECT_DOUBLE_EQ(SeriesValue(registry.PrometheusText(), series) - before,
+                   kQueries);
+  EXPECT_EQ(server->queries_served(), static_cast<std::uint64_t>(kQueries));
+}
+
+TEST(ServeObservabilitySingleSource, ResetStatsKeepsPrometheusMonotonic) {
+  // `stats` starts over at a reset; the Prometheus series it reads does
+  // not go backwards.
+  const Graph graph = serve_test::TestGraph(9);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 3);
+  const std::string series =
+      "gcon_serve_rejected_total{model=\"default\",code=\"overloaded\"}";
+  const auto& registry = obs::MetricsRegistry::Global();
+  FaultInjector::Global().Reset();
+  auto server = OneModelServer(graph, artifact);
+  const double before =
+      std::max(SeriesValue(registry.PrometheusText(), series), 0.0);
+
+  FaultInjector::Global().Arm(Fault::kQueueFull, 1);
+  ServeRequest request;
+  request.node = 0;
+  try {
+    server->Query(request);
+    ADD_FAILURE() << "the injected full queue admitted the query";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kOverloaded);
+  }
+  FaultInjector::Global().Reset();
+  EXPECT_NE(server->StatsJson().find("\"rejected_overload\": 1,"),
+            std::string::npos)
+      << server->StatsJson();
+
+  server->ResetStats();
+  const std::string stats = server->StatsJson();
+  EXPECT_NE(stats.find("\"rejected_overload\": 0,"), std::string::npos)
+      << stats;
+  EXPECT_EQ(stats.find("\"rejected_overload\": 1,"), std::string::npos)
+      << stats;
+  EXPECT_DOUBLE_EQ(SeriesValue(registry.PrometheusText(), series) - before,
+                   1.0);
 }
 
 TEST_F(ServeObservabilityTest, BinaryMetricsVerbAnswersTheSameExposition) {

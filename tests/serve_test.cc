@@ -199,7 +199,6 @@ TEST(InferenceServer, ConcurrentClientsGetBitwiseOfflineAnswers) {
   ServeOptions options;
   options.threads = 2;
   options.max_batch = 8;
-  options.max_wait_us = 200;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
   const int kClients = 4;
@@ -240,7 +239,6 @@ TEST(InferenceServer, AsyncPipelineCoalescesAndPreservesIdentity) {
   ServeOptions options;
   options.threads = 1;
   options.max_batch = 16;
-  options.max_wait_us = 2000;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
   std::vector<std::future<ServeResponse>> futures;
@@ -286,9 +284,6 @@ TEST(ServeOptions, ValidateNamesTheOffendingKnob) {
   ServeOptions negative_batch;
   negative_batch.max_batch = -4;
   EXPECT_NE(message_of(negative_batch).find("max_batch"), std::string::npos);
-  ServeOptions zero_wait;
-  zero_wait.max_wait_us = 0;
-  EXPECT_NE(message_of(zero_wait).find("max_wait_us"), std::string::npos);
   EXPECT_TRUE(message_of(ServeOptions{}).empty());
 }
 

@@ -143,9 +143,12 @@ TEST(CsrMatrix, SpmvMatchesDense) {
   std::vector<double> x(10);
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
   const auto y_sparse = sparse.Multiply(x);
-  const auto y_dense = MatVec(dense, x);
+  Matrix x_column(x.size(), 1);
+  for (std::size_t i = 0; i < x.size(); ++i) x_column(i, 0) = x[i];
+  const Matrix y_dense = MatMul(dense, x_column);
+  ASSERT_EQ(y_sparse.size(), y_dense.rows());
   for (std::size_t i = 0; i < y_sparse.size(); ++i) {
-    EXPECT_NEAR(y_sparse[i], y_dense[i], 1e-10);
+    EXPECT_NEAR(y_sparse[i], y_dense(i, 0), 1e-10);
   }
 }
 

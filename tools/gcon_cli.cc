@@ -33,7 +33,7 @@
 //            exits 3 so operators can distinguish "cap spent" from a
 //            usage error.
 //   serve    --graph=in.graph --model=in.model [--model name=path]...
-//            [--port=7070] [--threads=1] [--max_batch=32] [--max_wait_us=200]
+//            [--port=7070] [--threads=1] [--max_batch=32]
 //            [--max_queue=4096] [--io_timeout_ms=30000]
 //            [--budget-ledger=path] [--budget-cap=0]
 //            Loads each artifact once and serves node-prediction queries
@@ -133,7 +133,6 @@ const std::map<std::string, std::string> kSpec = {
     {"out", "output path (generate)"},
     {"port", "TCP port to serve on; 0 = ephemeral (serve, default 7070)"},
     {"max_batch", "queries coalesced per batch (serve, default 32)"},
-    {"max_wait_us", "batch coalescing deadline in us (serve, default 200)"},
     {"max_queue", "per-model pending-queue cap; full queues reject with "
                   "'overloaded'; 0 = unbounded (serve, default 4096)"},
     {"io_timeout_ms", "per-connection read/write timeout; stalled clients "
@@ -352,11 +351,10 @@ int CmdServe(const gcon::Flags& flags) {
     return 2;
   }
   // Strict knob validation up front: zero/negative worker counts, batch
-  // sizes, or deadlines are invocation bugs, not modes (exit 2, flag named).
+  // sizes, or timeouts are invocation bugs, not modes (exit 2, flag named).
   gcon::ServeOptions options;
   options.threads = flags.GetPositiveInt("threads", 1);
   options.max_batch = flags.GetPositiveInt("max_batch", 32);
-  options.max_wait_us = flags.GetPositiveInt("max_wait_us", 200);
   options.max_queue = flags.GetInt("max_queue", 4096);
   options.io_timeout_ms = flags.GetPositiveInt("io_timeout_ms", 30000);
   if (options.max_queue < 0) {
