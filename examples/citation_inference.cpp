@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
 
   // --- consumer side: load the artifact once, serve queries ------------
   gcon::ServeOptions options;
-  options.threads = 2;
   options.max_batch = 16;
   gcon::InferenceServer server(
       gcon::InferenceSession::FromFile(model_path, graph), options);

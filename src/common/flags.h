@@ -38,7 +38,7 @@ class Flags {
   /// GetInt plus a positivity requirement: 0 and negatives abort with a
   /// message naming the flag ("--threads: ... expected a positive
   /// integer"). For knobs where zero is not a mode but a mistake
-  /// (serve --threads/--max_batch, eval --runs).
+  /// (serve --max_batch, eval --runs).
   int GetPositiveInt(const std::string& name, int default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;

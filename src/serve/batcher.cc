@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,15 +14,6 @@
 namespace gcon {
 namespace {
 
-// A lull this long with no new arrival while a batch is filling means the
-// burst is over: ship what we have instead of idling out the full deadline.
-// Short on purpose — every microsecond spent hoping for stragglers is a
-// microsecond every already-queued client waits.
-constexpr std::chrono::microseconds kArrivalLull(5);
-
-// The longest a lone query is held back for company, past its arrival.
-constexpr std::chrono::microseconds kMaxWait(200);
-
 [[noreturn]] void BadOption(const char* name, int value) {
   throw std::invalid_argument("serve option '" + std::string(name) +
                               "' must be >= 1 (got " + std::to_string(value) +
@@ -31,7 +23,6 @@ constexpr std::chrono::microseconds kMaxWait(200);
 }  // namespace
 
 void ServeOptions::Validate() const {
-  if (threads < 1) BadOption("threads", threads);
   if (max_batch < 1) BadOption("max_batch", max_batch);
   if (max_queue < 0) {
     throw std::invalid_argument(
@@ -92,42 +83,23 @@ MicroBatcher::MicroBatcher(ServeOptions options,
         {{"model", model}});
     queue.base = Read(queue);
   }
-  workers_.reserve(static_cast<std::size_t>(options_.threads));
-  for (int t = 0; t < options_.threads; ++t) {
-    workers_.emplace_back(&MicroBatcher::WorkerMain, this);
-  }
 }
 
 MicroBatcher::~MicroBatcher() { Stop(); }
 
 void MicroBatcher::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-    arrival_cv_.notify_all();
-  }
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  BeginDrain();
+  Combine(nullptr);
 }
 
 void MicroBatcher::BeginDrain() {
   std::lock_guard<std::mutex> lock(mu_);
   draining_ = true;
-  // Wake any worker holding a lone query back for company: with admission
-  // closed no company is coming, so ship what is queued now.
-  arrival_cv_.notify_all();
 }
 
-void MicroBatcher::Drain() {
-  BeginDrain();
-  Stop();
-}
-
-std::future<ServeResponse> MicroBatcher::Submit(std::size_t queue,
-                                                ServeRequest request) {
+ServeFuture MicroBatcher::Submit(std::size_t queue, ServeRequest request) {
   GCON_CHECK_LT(queue, queues_.size());
-  auto pending = std::make_unique<PendingQuery>();
+  auto pending = std::make_shared<PendingQuery>();
   pending->request = std::move(request);
   pending->enqueued = std::chrono::steady_clock::now();
   if (pending->request.deadline_us != 0) {
@@ -136,11 +108,11 @@ std::future<ServeResponse> MicroBatcher::Submit(std::size_t queue,
         pending->enqueued +
         std::chrono::microseconds(pending->request.deadline_us);
   }
-  std::future<ServeResponse> future = pending->promise.get_future();
+  ServeFuture future(this, pending);
   {
     std::lock_guard<std::mutex> lock(mu_);
     Queue& target = *queues_[queue];
-    if (stopping_ || draining_) {
+    if (draining_) {
       target.metrics.rejected_draining->Increment();
       throw ServeError(ServeErrorCode::kDraining,
                        "server draining; not accepting new queries");
@@ -170,154 +142,128 @@ std::future<ServeResponse> MicroBatcher::Submit(std::size_t queue,
   }
   // Outside the critical section: the relaxed add must not lengthen it.
   queues_[queue]->metrics.accepted->Increment();
-  arrival_cv_.notify_one();
   return future;
 }
 
-MicroBatcher::Queue* MicroBatcher::TakeBatchLocked(
-    std::unique_lock<std::mutex>* lock,
-    std::vector<std::unique_ptr<PendingQuery>>* batch) {
-  const std::size_t max_batch = static_cast<std::size_t>(options_.max_batch);
+ServeResponse ServeFuture::get() {
+  const std::shared_ptr<PendingQuery> query = std::move(query_);
+  if (!query->done.load(std::memory_order_acquire)) {
+    batcher_->Combine(query.get());
+  }
+  if (query->error) std::rethrow_exception(query->error);
+  return std::move(query->response);
+}
+
+void MicroBatcher::Combine(PendingQuery* query) {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Bounded wait, not an indefinite one: glibc condvars before 2.38 can
-    // lose a broadcast to a stolen wakeup (sourceware bug 25847), which
-    // left an idle worker asleep through Stop()'s notify and hung a
-    // SIGTERM drain until a second signal's spurious wake rescued it.
-    // Rechecking the predicate every 50ms turns that lost wakeup into a
-    // bounded delay; an idle worker waking 20x/s costs nothing.
-    while (!(stopping_ || total_pending_ > 0)) {
-      arrival_cv_.wait_for(*lock, std::chrono::milliseconds(50));
+    // `done` is only set under mu_, so this read cannot miss the wakeup.
+    if (query != nullptr ? query->done.load(std::memory_order_relaxed)
+                         : total_pending_ == 0 && running_ == 0) {
+      return;
     }
-    if (total_pending_ == 0) return nullptr;  // stopping and drained
-
-    // FIFO across models: serve the queue whose head waited longest.
-    Queue* queue = nullptr;
-    for (auto& candidate : queues_) {
-      if (candidate->pending.empty()) continue;
-      if (queue == nullptr || candidate->pending.front()->enqueued <
-                                  queue->pending.front()->enqueued) {
-        queue = candidate.get();
-      }
+    if (total_pending_ == 0) {
+      // Everything queued is already running on other threads, `query`
+      // included: wait for its batch (or, for Stop, the last batch).
+      (query != nullptr ? query->answered : idle_).wait(lock);
+      continue;
     }
-
-    // An existing backlog already amortizes the batch overhead: ship it
-    // now — delaying it only idles every queued client (a straggler wait
-    // here measured as a 3x throughput LOSS under closed-loop load). Only
-    // a lone query — lone across EVERY queue; pending work for another
-    // model must not idle this worker — is worth holding back, briefly,
-    // for company.
-    if (total_pending_ == 1 && max_batch > 1 && !stopping_ && !draining_) {
-      const auto deadline = queue->pending.front()->enqueued + kMaxWait;
-      while (queue->pending.size() < max_batch && !stopping_ && !draining_ &&
-             total_pending_ == queue->pending.size()) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        const auto step = std::min<std::chrono::steady_clock::duration>(
-            deadline - now, kArrivalLull);
-        const std::size_t before = total_pending_;
-        arrival_cv_.wait_for(*lock, step);
-        if (total_pending_ <= before) break;  // lull — ship what we have
-      }
-    }
-    if (queue->pending.empty()) continue;  // a peer worker took the backlog
-
-    const std::size_t take = std::min(queue->pending.size(), max_batch);
-    batch->clear();
-    batch->reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch->push_back(std::move(queue->pending.front()));
-      queue->pending.pop_front();
-    }
-    total_pending_ -= take;
-    if (total_pending_ > 0) {
-      // Leftovers (this queue's or another's) belong to a peer; wake one.
-      arrival_cv_.notify_one();
-    }
-    return queue;
+    Batch batch;
+    Queue* queue = TakeBatchLocked(&batch);
+    lock.unlock();
+    RunBatch(queue, &batch);
+    batch.clear();  // frees answered queries (and their frame pins) unlocked
+    lock.lock();
   }
 }
 
-void MicroBatcher::WorkerMain() {
-  for (;;) {
-    std::vector<std::unique_ptr<PendingQuery>> batch;
-    Queue* queue = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue = TakeBatchLocked(&lock, &batch);
-      if (queue == nullptr) return;
+MicroBatcher::Queue* MicroBatcher::TakeBatchLocked(Batch* batch) {
+  // FIFO across models: serve the queue whose head waited longest.
+  Queue* queue = nullptr;
+  for (auto& candidate : queues_) {
+    if (candidate->pending.empty()) continue;
+    if (queue == nullptr || candidate->pending.front()->enqueued <
+                                queue->pending.front()->enqueued) {
+      queue = candidate.get();
     }
-    for (const auto& p : batch) {
-      if (p->request.trace) p->request.trace->Stamp(obs::kMarkBatchForm);
-    }
+  }
+  const auto take = static_cast<std::ptrdiff_t>(std::min(
+      queue->pending.size(), static_cast<std::size_t>(options_.max_batch)));
+  const auto first = queue->pending.begin();
+  batch->assign(std::make_move_iterator(first),
+                std::make_move_iterator(first + take));
+  queue->pending.erase(first, first + take);
+  total_pending_ -= batch->size();
+  ++running_;
+  return queue;
+}
 
-    // Chaos site: a stalled handler (lock contention, page fault storm,
-    // a slow downstream) delays execution past queued deadlines — the
-    // sleep sits before the deadline check so injected slowness expires
-    // deadlined queries exactly like real slowness would.
-    FaultInjector::Global().MaybeSleepSlowHandler();
+void MicroBatcher::RunBatch(Queue* queue, Batch* batch) {
+  for (const auto& p : *batch) {
+    if (p->request.trace) p->request.trace->Stamp(obs::kMarkBatchForm);
+  }
 
-    // Drop expired queries now, immediately before the GEMM: their
-    // clients have given up, so spending batch rows on them only delays
-    // everyone still waiting. Their futures resolve with a structured
-    // deadline_exceeded error, never silence.
-    std::vector<std::unique_ptr<PendingQuery>> expired;
-    {
-      bool any_deadline = false;
-      for (const auto& p : batch) any_deadline |= p->has_deadline;
-      if (any_deadline) {
-        const auto now = std::chrono::steady_clock::now();
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (batch[i]->has_deadline && now >= batch[i]->deadline) {
-            expired.push_back(std::move(batch[i]));
-          } else {
-            if (keep != i) batch[keep] = std::move(batch[i]);
-            ++keep;
-          }
-        }
-        batch.resize(keep);
-      }
-    }
-    if (!expired.empty()) {
-      queue->metrics.rejected_deadline->Increment(expired.size());
-    }
-    if (!batch.empty()) {
-      queue->metrics.batch_size->Observe(static_cast<double>(batch.size()));
-    }
-    for (auto& p : expired) {
-      p->promise.set_exception(std::make_exception_ptr(
+  // Chaos site: a stalled handler (lock contention, page fault storm,
+  // a slow downstream) delays execution past queued deadlines — the
+  // sleep sits before the deadline check so injected slowness expires
+  // deadlined queries exactly like real slowness would.
+  FaultInjector::Global().MaybeSleepSlowHandler();
+
+  // Drop expired queries now, immediately before the GEMM: their clients
+  // have given up, so spending batch rows on them only delays everyone
+  // still waiting. They resolve with a structured deadline_exceeded
+  // error, never silence.
+  std::vector<PendingQuery*> live;
+  live.reserve(batch->size());
+  const auto now = std::chrono::steady_clock::now();
+  for (const auto& p : *batch) {
+    if (p->has_deadline && now >= p->deadline) {
+      p->error = std::make_exception_ptr(
           ServeError(ServeErrorCode::kDeadlineExceeded,
-                     "query deadline expired before execution")));
+                     "query deadline expired before execution"));
+    } else {
+      live.push_back(p.get());
     }
-    if (batch.empty()) continue;
-
-    std::vector<PendingQuery*> views;
-    views.reserve(batch.size());
-    for (auto& p : batch) views.push_back(p.get());
+  }
+  if (live.size() < batch->size()) {
+    queue->metrics.rejected_deadline->Increment(batch->size() - live.size());
+  }
+  if (!live.empty()) {
+    queue->metrics.batch_size->Observe(static_cast<double>(live.size()));
     try {
       if (FaultInjector::Global().ShouldFire(Fault::kMidBatchThrow)) {
         throw std::runtime_error("injected mid-batch fault");
       }
-      queue->handler(views);
+      queue->handler(live);
       const auto done = std::chrono::steady_clock::now();
-      for (auto& p : batch) {
+      for (PendingQuery* p : live) {
         p->response.id = p->request.id;
         p->response.node = p->request.node;
         p->response.latency_us =
             std::chrono::duration<double, std::micro>(done - p->enqueued)
                 .count();
         queue->latency.Record(p->response.latency_us);
-        p->promise.set_value(std::move(p->response));
       }
     } catch (...) {
       // Validation happens at Submit, so this is a handler bug or OOM:
-      // surface it on every affected query instead of hanging the futures.
+      // surface it on every affected query instead of hanging its waiter.
       const std::exception_ptr error = std::current_exception();
-      for (auto& p : batch) {
-        p->promise.set_exception(error);
-      }
+      for (PendingQuery* p : live) p->error = error;
     }
   }
+
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& p : *batch) {
+      p->done.store(true, std::memory_order_release);
+    }
+    // Notified under the lock: once running_ reads 0, Stop may return and
+    // the batcher be destroyed, so nothing may touch it after the unlock.
+    if (--running_ == 0) idle_.notify_all();
+  }
+  // The batch still owns its queries, so their waiters can be woken
+  // outside the lock, where a woken waiter does not block on it again.
+  for (const auto& p : *batch) p->answered.notify_one();
 }
 
 void MicroBatcher::ResetCounters() {

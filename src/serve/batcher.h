@@ -1,47 +1,42 @@
 // Micro-batching request queue for the inference server.
 //
-// Clients submit single-node queries; persistent batch workers coalesce
-// them into blocks of up to `max_batch` and hand each block to one handler
-// call (one gather + one GEMM in the server). Coalescing policy:
-//
-//   * a worker that finds requests queued takes up to max_batch of them;
-//   * a lone pending query is held back briefly for company — never beyond
-//     200 us past its arrival (kMaxWait in batcher.cc), and given up as
-//     soon as an arrival lull (a few microseconds, kArrivalLull) suggests
-//     no one else is coming. An existing backlog ships immediately: under load the
-//     queue refills while the previous batch computes, so batches form
-//     naturally and the deadline is a latency bound, not a throughput tax.
+// Clients submit single-node queries; the batcher coalesces them into
+// blocks of up to `max_batch` and hands each block to one handler call
+// (one gather + one GEMM in the server). The batcher has no threads of
+// its own: it is flat-combining (Hendler, Incze, Shavit and Tzafrir, SPAA
+// 2010). A thread whose answer is not ready yet (ServeFuture::get) takes
+// the oldest pending batch itself — everything queued for one model, up
+// to max_batch — runs it outside the lock, wakes that batch's waiters
+// once, and repeats until its own answer is in. Several waiters may run
+// batches at once. Nothing is held back for company: a lone query runs at
+// once on the thread that asked for it, and under load the queue refills
+// while a batch computes, so batches form from whatever queued meanwhile.
+// A pipelined client that submits a burst before it waits gets the burst
+// back as one batch.
 //
 // Multi-queue mode (the multi-model server): the batcher hosts N queues,
 // one per handler — per-model pending deque, counters, and latency
-// histogram — behind ONE shared pool of resident workers. A batch never
-// mixes queues (each model's GEMM needs its own session), workers drain
-// whichever queue has the oldest waiting query, and the lone-query
-// hold-back applies only when that query is the only one pending anywhere
-// (work queued for another model must not idle a worker). A single-queue
-// batcher is exactly the old behavior.
+// histogram — under one lock. A batch never mixes queues (each model's
+// GEMM needs its own session); a combiner takes from whichever queue has
+// the oldest waiting query. A single-queue batcher is the same with N = 1.
 //
 // Because the session's per-row results are independent of batch
 // composition (see inference_session.h), the nondeterministic coalescing
 // schedule is invisible in the responses — batching changes throughput and
 // latency, never bits.
-//
-// Workers are resident threads (spawned in the constructor, parked on the
-// queue's condition variable, joined in Stop) — the serving tier never pays
-// a thread spawn per request, per batch, or per model.
 #ifndef GCON_SERVE_BATCHER_H_
 #define GCON_SERVE_BATCHER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -53,8 +48,7 @@ namespace gcon {
 
 /// Serving knobs, shared by the in-process API, the CLI, and the bench.
 struct ServeOptions {
-  int threads = 1;       ///< batch worker threads (shared across queues)
-  int max_batch = 32;    ///< queries coalesced into one handler call
+  int max_batch = 32;  ///< queries coalesced into one handler call
   /// Admission control: per-model pending-queue cap. A Submit against a
   /// full queue throws ServeError(kOverloaded) instead of growing the
   /// queue without bound. 0 = unbounded (the pre-robustness behavior).
@@ -90,28 +84,69 @@ struct PendingQuery {
   /// (has_deadline), else unset.
   std::chrono::steady_clock::time_point deadline;
   bool has_deadline = false;
-  std::promise<ServeResponse> promise;
+  /// Set when the query is not answered: its deadline expired, or its
+  /// batch's handler threw.
+  std::exception_ptr error;
+  /// Set (release, under the batcher's lock) once the batch holding this
+  /// query has run, after `response` or `error` is written; never reset.
+  std::atomic<bool> done{false};
+  /// Notified once `done` is set: wakes the thread awaiting this query
+  /// while another thread runs its batch, and no other. One waiter, one
+  /// notify: the glibc lost wakeup (sourceware bug 25847) needs several
+  /// waiters on one condition variable.
+  std::condition_variable answered;
+};
+
+class MicroBatcher;
+
+/// The answer to one accepted query. get() combines: while the answer is
+/// not ready it runs pending batches on the calling thread (see the top of
+/// this file). Move-only, because get() moves the answer out.
+class ServeFuture {
+ public:
+  ServeFuture() = default;
+  ServeFuture(ServeFuture&&) = default;
+  ServeFuture& operator=(ServeFuture&&) = default;
+
+  /// True once the query's batch has run. Never blocks or combines.
+  bool ready() const {
+    return query_->done.load(std::memory_order_acquire);
+  }
+
+  /// Returns the response, or rethrows the query's error (a
+  /// ServeError(kDeadlineExceeded), or the handler's exception). Until the
+  /// query's batch has run, runs pending batches or waits for the ones
+  /// other threads run. Call once. A resolved query — every one is by the
+  /// time MicroBatcher::Stop returns — no longer needs its batcher.
+  ServeResponse get();
+
+ private:
+  friend class MicroBatcher;
+  ServeFuture(MicroBatcher* batcher, std::shared_ptr<PendingQuery> query)
+      : batcher_(batcher), query_(std::move(query)) {}
+
+  MicroBatcher* batcher_ = nullptr;
+  std::shared_ptr<PendingQuery> query_;
 };
 
 class MicroBatcher {
  public:
   /// Fills response (label/logits) for every pending query in the batch;
-  /// runs on a batch worker thread. Must not throw for valid requests —
-  /// requests are validated at Submit time — but if it does, every query in
-  /// the batch receives the exception.
+  /// runs on whichever waiting thread took the batch. Must not throw for
+  /// valid requests — requests are validated at Submit time — but if it
+  /// does, every query in the batch receives the exception.
   using BatchHandler = std::function<void(std::vector<PendingQuery*>&)>;
 
-  /// Single-queue batcher: validates `options` and starts options.threads
-  /// resident workers over one queue.
+  /// Single-queue batcher: validates `options`.
   MicroBatcher(ServeOptions options, BatchHandler handler);
 
-  /// Multi-queue batcher: one queue per handler (at least one), all served
-  /// by the same options.threads resident workers. `queue_labels` names the
-  /// queues in the metrics registry (the server passes model names); queues
-  /// past the end of the list fall back to "q<i>". The batcher owns the
-  /// serving-tier metrics — accepts, rejections by ServeError code, queue
-  /// depth/peak, batch-size distribution — because it owns the admission
-  /// and batch-formation sites those metrics describe.
+  /// Multi-queue batcher: one queue per handler (at least one).
+  /// `queue_labels` names the queues in the metrics registry (the server
+  /// passes model names); queues past the end of the list fall back to
+  /// "q<i>". The batcher owns the serving-tier metrics — accepts,
+  /// rejections by ServeError code, queue depth/peak, batch-size
+  /// distribution — because it owns the admission and batch-formation
+  /// sites those metrics describe.
   MicroBatcher(ServeOptions options, std::vector<BatchHandler> handlers,
                std::vector<std::string> queue_labels = {});
 
@@ -119,25 +154,27 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  /// Enqueues one query on `queue`; the future resolves when its batch
-  /// completes. The single-argument form targets queue 0.
-  std::future<ServeResponse> Submit(ServeRequest request) {
+  /// Enqueues one query on `queue`; its future resolves when its batch
+  /// has run. Queued queries run only when some thread awaits one (or at
+  /// Stop), so a caller refused with kOverloaded should await what it has
+  /// in flight before it retries. The single-argument form targets queue 0.
+  ServeFuture Submit(ServeRequest request) {
     return Submit(0, std::move(request));
   }
-  std::future<ServeResponse> Submit(std::size_t queue, ServeRequest request);
+  ServeFuture Submit(std::size_t queue, ServeRequest request);
 
-  /// Drains every queue and joins the workers. Submissions after Stop fail
-  /// with ServeError(kDraining) (a std::runtime_error). Idempotent.
+  /// Graceful shutdown: stops admitting (as BeginDrain), runs every queued
+  /// batch on the calling thread, and waits out the batches other threads
+  /// are running. Every accepted query has resolved (value or structured
+  /// error) when it returns, awaited or not; none is dropped. Submissions
+  /// after it fail with ServeError(kDraining) (a std::runtime_error).
+  /// Idempotent; the destructor calls it.
   void Stop();
 
-  /// Stops admitting (Submit throws ServeError(kDraining)) while already-
-  /// queued work keeps completing — the first half of a graceful shutdown.
-  /// Idempotent; Stop() still joins the workers afterwards.
+  /// Stops admitting (Submit throws ServeError(kDraining)) while queries
+  /// already queued still resolve, when awaited or at Stop — the first
+  /// half of a graceful shutdown. Idempotent.
   void BeginDrain();
-
-  /// Graceful shutdown: BeginDrain, then Stop. Every query accepted before
-  /// the drain began resolves (value or structured error); none is dropped.
-  void Drain();
 
   /// Enqueue-to-completion latency of every completed query on `queue`.
   const LatencyStats& latency(std::size_t queue = 0) const;
@@ -218,7 +255,7 @@ class MicroBatcher {
   struct Queue {
     explicit Queue(BatchHandler h) : handler(std::move(h)) {}
     BatchHandler handler;
-    std::deque<std::unique_ptr<PendingQuery>> pending;
+    std::deque<std::shared_ptr<PendingQuery>> pending;
     std::uint64_t queue_peak = 0;
     /// Registry readings at construction or the last ResetCounters. The
     /// series are process-global per model label, so a later server with
@@ -235,22 +272,32 @@ class MicroBatcher {
   /// Sum of one Counts field across every queue.
   std::uint64_t Total(std::uint64_t Counts::*field) const;
 
-  void WorkerMain();
-  /// Pops the next batch into *batch and returns its queue (caller holds
-  /// lock on entry/exit); nullptr means "stopping and drained".
-  Queue* TakeBatchLocked(std::unique_lock<std::mutex>* lock,
-                         std::vector<std::unique_ptr<PendingQuery>>* batch);
+  friend class ServeFuture;
+  using Batch = std::vector<std::shared_ptr<PendingQuery>>;
+
+  /// Runs batches on the calling thread until `query` has resolved, or,
+  /// when `query` is null, until no batch is queued or running. Waits for
+  /// other threads' batches when nothing is queued.
+  void Combine(PendingQuery* query);
+  /// Moves the oldest pending query's queue's head, up to max_batch
+  /// queries, into *batch and returns that queue. Requires mu_ held and
+  /// total_pending_ > 0; counts the batch as running.
+  Queue* TakeBatchLocked(Batch* batch);
+  /// The batch body, outside the lock: trace stamp, slow-handler site,
+  /// deadline drop, handler, latency record; then marks every query in
+  /// the batch done and wakes the waiters.
+  void RunBatch(Queue* queue, Batch* batch);
 
   ServeOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable arrival_cv_;
+  /// Notified when the last running batch finishes, for Stop.
+  std::condition_variable idle_;
   std::vector<std::unique_ptr<Queue>> queues_;
   std::size_t total_pending_ = 0;
-  bool stopping_ = false;
+  /// Batches taken and not yet finished.
+  std::size_t running_ = 0;
   bool draining_ = false;
-
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gcon

@@ -1,7 +1,7 @@
 // Fault-injection hooks for the serving tier's chaos tests.
 //
 // The serving code calls ShouldFire(...) at a handful of named sites
-// (queue admission, the batch worker's pre-GEMM window, the TCP write
+// (queue admission, a batch's pre-GEMM window, the TCP write
 // path, the per-batch session snapshot). Disarmed — the only state a
 // production process ever has — each site costs one relaxed atomic load
 // of `armed_`, so the hooks are compiled in unconditionally instead of
@@ -36,7 +36,7 @@ namespace gcon {
 /// GCON_FAULTS uses.
 enum class Fault : int {
   kQueueFull = 0,     ///< Submit treats the queue as full (admission site)
-  kSlowHandler,       ///< batch worker sleeps before the deadline check/GEMM
+  kSlowHandler,       ///< a batch sleeps before the deadline check/GEMM
   kMidBatchThrow,     ///< batch handler throws mid-batch
   kTornSocket,        ///< TCP write sends half a line, then kills the socket
   kSwapDuringBatch,   ///< runs the installed callback inside a batch window
@@ -84,7 +84,7 @@ class FaultInjector {
   }
 
   /// Sleeps for slow_handler_us() if kSlowHandler fires (the batch
-  /// worker's one-line site).
+  /// body's one-line site).
   void MaybeSleepSlowHandler();
 
   /// Number of times `fault` has fired since the last Reset.

@@ -116,7 +116,7 @@ struct ServeRequest {
                : features.size();
   }
   /// Optional deadline, microseconds from submission; 0 = none. A query
-  /// still queued when its deadline passes is dropped by the batch worker
+  /// still queued when its deadline passes is dropped by its batch
   /// immediately before the GEMM and fails with a structured
   /// `deadline_exceeded` error instead of wasting the batch slot.
   std::int64_t deadline_us = 0;

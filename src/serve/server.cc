@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <iostream>
 #include <locale>
 #include <memory>
@@ -70,8 +69,8 @@ InferenceServer::InferenceServer(InferenceSession session,
 InferenceServer::InferenceServer(std::vector<ModelRouter::NamedModel> models,
                                  ServeOptions options)
     : router_(std::move(models)) {
-  // One handler per model, all run by the batcher's shared workers: one
-  // gather + one GEMM per batch, then per-query argmax. Each batch takes
+  // One handler per model, run by whichever waiting thread takes the batch:
+  // one gather + one GEMM per batch, then per-query argmax. Each batch takes
   // ONE owning snapshot of its model's published session — a concurrent
   // Publish flips the router slot without disturbing this batch (the
   // snapshot keeps the old version alive until the batch completes, the
@@ -126,11 +125,7 @@ InferenceServer::InferenceServer(std::vector<ModelRouter::NamedModel> models,
                                             std::move(queue_labels));
 }
 
-InferenceServer::~InferenceServer() { Stop(); }
-
-void InferenceServer::Stop() { batcher_->Stop(); }
-
-std::future<ServeResponse> InferenceServer::QueryAsync(ServeRequest request) {
+ServeFuture InferenceServer::QueryAsync(ServeRequest request) {
   const int model = router_.Resolve(request.model);
   // Hold an owning snapshot across validation so a concurrent Publish
   // cannot retire the session mid-check. (Publish enforces that the
@@ -243,7 +238,7 @@ std::string InferenceServer::BudgetJson() const {
 
 void InferenceServer::BeginDrain() { batcher_->BeginDrain(); }
 
-void InferenceServer::Drain() { batcher_->Drain(); }
+void InferenceServer::Drain() { batcher_->Stop(); }
 
 LatencyStats::Snapshot InferenceServer::latency() const {
   if (router_.size() == 1) return batcher_->latency(0).Summarize();
@@ -699,39 +694,47 @@ std::string AdminBody(InferenceServer* server, const Inbound& message) {
 }
 
 /// The connection state machine, one for both transports. Queries are
-/// pipelined through QueryAsync, so a burst from one client coalesces into
-/// one batch, and answered strictly in request order. Everything already
-/// admitted is answered before any admin reply or error, and before the
-/// connection closes (its client may be gone, but every accepted future
-/// still resolves and the per-model counters stay truthful).
+/// pipelined through QueryAsync and answered strictly in request order.
+/// Everything already admitted is answered before any admin reply or
+/// error, and before the connection closes (its client may be gone, but
+/// every accepted query still resolves and the per-model counters stay
+/// truthful).
 ///
 /// The flush rule: before blocking for the next message, if answers are
 /// pending, the codec has no complete message buffered, and a non-blocking
 /// peek finds the socket empty, flush. A client now waiting for answers
-/// gets them; a client mid-burst keeps filling the current batch window.
+/// gets them; a client mid-burst keeps adding to the pending queue. The
+/// flush awaits the answers in order, and awaiting runs pending batches on
+/// this thread (flat combining, serve/batcher.h), so the burst a client
+/// pipelined before waiting runs as one batch. All of a flush's answers
+/// go out in one send.
 void RunConnection(InferenceServer* server, Socket* socket, Codec* codec) {
   struct InFlight {
     std::int64_t id;
-    std::future<ServeResponse> future;
+    ServeFuture future;
     std::shared_ptr<obs::RequestTrace> trace;
   };
-  std::deque<InFlight> pending;
+  std::vector<InFlight> pending;
+  std::string answers;
   bool open = true;  // false once a write fails: stop reading and writing
   auto send = [&](const std::string& data) {
     if (open) open = socket->Send(data);
   };
   auto flush = [&] {
-    for (; !pending.empty(); pending.pop_front()) {
-      InFlight& query = pending.front();
-      std::string answer;
+    if (pending.empty()) return;
+    answers.clear();
+    for (InFlight& query : pending) {
       try {
-        answer = codec->EncodeResponse(query.future.get());
+        answers += codec->EncodeResponse(query.future.get());
       } catch (...) {
-        answer = EncodeCurrentException(*codec, query.id);
+        answers += EncodeCurrentException(*codec, query.id);
       }
-      send(answer);
+    }
+    send(answers);
+    for (InFlight& query : pending) {
       obs::TraceRecorder::Global().Finish(query.trace);
     }
+    pending.clear();
   };
   auto next = [&](Inbound* message) {
     while (!codec->Decode(message)) {
@@ -835,8 +838,7 @@ int RunTcpServer(InferenceServer* server, int port,
   std::cerr << "serving on 127.0.0.1:" << actual_port << " (models="
             << server->router().NameList() << ", "
             << server->session().num_nodes() << " nodes, "
-            << server->session().num_classes() << " classes, threads="
-            << server->options().threads << " max_batch="
+            << server->session().num_classes() << " classes, max_batch="
             << server->options().max_batch
             << ", transports=json+binary, " << obs::BuildSummary() << ")"
             << std::endl;

@@ -1,16 +1,18 @@
 // The inference server: a ModelRouter's named InferenceSessions behind one
-// shared-worker MicroBatcher, plus the TCP front end `gcon_cli serve`
+// flat-combining MicroBatcher, plus the TCP front end `gcon_cli serve`
 // speaks.
 //
 // In-process use (tests, benches, embedding applications):
 //
-//   InferenceServer server(std::move(session), {.threads=2, .max_batch=32});
+//   InferenceServer server(std::move(session), {.max_batch=32});
 //   ServeResponse r = server.Query({.id=1, .node=v});   // blocking
 //   // or pipeline: auto f = server.QueryAsync(req); ... f.get();
 //
+// The threads waiting for answers (Query, ServeFuture::get) run the
+// batches (serve/batcher.h).
+//
 // Multi-model: construct with a vector of {name, session} entries — one
-// process hosts several published artifacts. The batch workers are shared
-// (ServeOptions.threads total, not per model); each model keeps its own
+// process hosts several published artifacts. Each model keeps its own
 // pending queue, counters, and latency histogram, and a batch never mixes
 // models. Requests route by ServeRequest.model; empty routes to the
 // first-listed (default) model, so single-model clients never change.
@@ -24,20 +26,20 @@
 //
 // The TCP front end is deliberately thin: a loopback-bound listener, one
 // thread per connection, each request answered in order via QueryAsync so
-// pipelined client batches coalesce in the batcher. Two transports share
-// the port, negotiated from the connection's first byte: newline-JSON
-// (serve/wire.h — the admin/debug transport) and length-prefixed binary
-// frames (serve/frame.h — the fast path, whose f32 feature payloads are
-// gathered into the GEMM panel without a copy or a text round-trip). Each
-// is a codec under one connection state machine, so both answer identical
-// bits in the same order. It exists to demonstrate and smoke-test the
-// deployment story end to end, not to be a production RPC stack.
+// a client's pipelined burst runs as one batch on its connection thread.
+// Two transports share the port, negotiated from the connection's first
+// byte: newline-JSON (serve/wire.h — the admin/debug transport) and
+// length-prefixed binary frames (serve/frame.h — the fast path, whose f32
+// feature payloads are gathered into the GEMM panel without a copy or a
+// text round-trip). Each is a codec under one connection state machine, so
+// both answer identical bits in the same order. It exists to demonstrate
+// and smoke-test the deployment story end to end, not to be a production
+// RPC stack.
 #ifndef GCON_SERVE_SERVER_H_
 #define GCON_SERVE_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,12 +56,12 @@ namespace gcon {
 class InferenceServer {
  public:
   /// Single-model server: `session` becomes the router's only (default)
-  /// entry, named "default". Starts options.threads batch workers.
+  /// entry, named "default".
   InferenceServer(InferenceSession session, ServeOptions options);
 
-  /// Multi-model server: one named entry per published artifact, shared
-  /// batch workers, per-model queues/stats. Throws std::invalid_argument
-  /// on an empty set or duplicate/unsafe names (see ModelRouter).
+  /// Multi-model server: one named entry per published artifact,
+  /// per-model queues/stats. Throws std::invalid_argument on an empty set
+  /// or duplicate/unsafe names (see ModelRouter).
   ///
   /// Privacy accounting: every loaded artifact is charged against the
   /// budget ledger (options.budget_ledger; in-memory when empty) keyed by
@@ -72,19 +74,19 @@ class InferenceServer {
   InferenceServer(std::vector<ModelRouter::NamedModel> models,
                   ServeOptions options);
 
-  ~InferenceServer();
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Validates, routes by request.model, and enqueues; the future resolves
-  /// when the batch holding this query completes. Throws
-  /// std::invalid_argument on an unknown model or a request its session
-  /// cannot serve, and ServeError on overload (the model's queue is at
-  /// max_queue) or a draining server. A request carrying deadline_us may
-  /// resolve with ServeError(kDeadlineExceeded) instead of a value.
-  std::future<ServeResponse> QueryAsync(ServeRequest request);
+  /// Validates, routes by request.model, and enqueues (MicroBatcher::Submit
+  /// says when the query runs). Throws std::invalid_argument on an unknown
+  /// model or a request its session cannot serve, and ServeError on
+  /// overload (the model's queue is at max_queue) or a draining server. A
+  /// request carrying deadline_us may resolve with
+  /// ServeError(kDeadlineExceeded) instead of a value.
+  ServeFuture QueryAsync(ServeRequest request);
 
-  /// Blocking convenience around QueryAsync.
+  /// Blocking convenience around QueryAsync: with no other traffic, the
+  /// query's batch runs on the calling thread.
   ServeResponse Query(ServeRequest request);
 
   /// Atomic hot-swap: `session` becomes the new version of served model
@@ -112,13 +114,15 @@ class InferenceServer {
                               const std::string& path);
 
   /// Stops admitting queries — QueryAsync throws ServeError(kDraining) —
-  /// while everything already accepted keeps completing. The {"cmd":
-  /// "drain"} verb; the first half of Drain().
+  /// while everything already accepted still resolves (when awaited, or
+  /// at Drain). The {"cmd": "drain"} verb; the first half of Drain().
   void BeginDrain();
 
-  /// Graceful shutdown: BeginDrain, flush every accepted query, join the
-  /// batch workers. `gcon_cli serve` calls this after SIGTERM so accepted
-  /// queries are never dropped. Idempotent.
+  /// Graceful shutdown: BeginDrain, then run every accepted query's batch
+  /// on the calling thread (and wait out batches running elsewhere), so
+  /// every accepted query resolves, awaited or not. `gcon_cli serve` calls
+  /// this after SIGTERM so accepted queries are never dropped. Idempotent;
+  /// destruction does it too.
   void Drain();
 
   /// The default model's session (the only one for single-model servers).
@@ -165,9 +169,6 @@ class InferenceServer {
   /// registry's Prometheus text exposition. Both transports answer with
   /// exactly this string.
   std::string MetricsText();
-
-  /// Joins the batch workers; pending queries complete first.
-  void Stop();
 
  private:
   /// Shared accounting path of Publish/PublishFromFile: reserve (throws

@@ -51,7 +51,6 @@ InferenceServer MakeServer(const std::string& model,
   std::vector<ModelRouter::NamedModel> models;
   models.push_back({model, InferenceSession(artifact, graph)});
   ServeOptions options;
-  options.threads = 1;
   options.max_batch = 4;
   options.budget_ledger = ledger_path;
   options.budget_cap = cap;

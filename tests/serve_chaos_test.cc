@@ -112,7 +112,6 @@ TEST_F(ServeChaosTest, RealOverloadBoundedQueueShedsAndNeverHangs) {
   std::condition_variable gate_cv;
   bool gate_open = false;
   ServeOptions options;
-  options.threads = 1;
   options.max_batch = 1;
   options.max_queue = 4;
   MicroBatcher batcher(options, [&](std::vector<PendingQuery*>& batch) {
@@ -121,7 +120,7 @@ TEST_F(ServeChaosTest, RealOverloadBoundedQueueShedsAndNeverHangs) {
     for (PendingQuery* p : batch) p->response.label = p->request.node;
   });
 
-  std::vector<std::pair<int, std::future<ServeResponse>>> accepted;
+  std::vector<std::pair<int, ServeFuture>> accepted;
   int rejected = 0;
   for (int i = 0; i < 32; ++i) {
     ServeRequest request;
@@ -133,8 +132,8 @@ TEST_F(ServeChaosTest, RealOverloadBoundedQueueShedsAndNeverHangs) {
       ++rejected;
     }
   }
-  // At most max_queue pending + whatever the single worker already took.
-  EXPECT_LE(accepted.size(), 4u + 1u);
+  // Nothing runs a batch until a query is awaited: exactly max_queue pend.
+  EXPECT_EQ(accepted.size(), 4u);
   EXPECT_EQ(accepted.size() + static_cast<std::size_t>(rejected), 32u);
   EXPECT_GE(rejected, 1);
   EXPECT_LE(batcher.queue_peak(0), 4u);
@@ -144,9 +143,6 @@ TEST_F(ServeChaosTest, RealOverloadBoundedQueueShedsAndNeverHangs) {
   }
   gate_cv.notify_all();
   for (auto& [node, future] : accepted) {
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "accepted query " << node << " hung";
     EXPECT_EQ(future.get().label, node);
   }
   EXPECT_EQ(batcher.rejected_overload(0),
@@ -161,19 +157,18 @@ TEST_F(ServeChaosTest, ExpiredDeadlineDropsBeforeExecutionWithCode) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 43);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 1;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
   // The slow-handler fault sleeps AFTER the batch is taken and BEFORE the
   // deadline check, so a 1us deadline is deterministically expired by the
-  // time the worker looks at it.
+  // time the batch looks at it.
   FaultInjector::Global().set_slow_handler_us(20000);
   FaultInjector::Global().Arm(Fault::kSlowHandler, 1);
   ServeRequest doomed;
   doomed.id = 1;
   doomed.node = 5;
   doomed.deadline_us = 1;
-  std::future<ServeResponse> future = server.QueryAsync(doomed);
+  ServeFuture future = server.QueryAsync(doomed);
   try {
     future.get();
     FAIL() << "expected ServeError(kDeadlineExceeded)";
@@ -204,7 +199,7 @@ TEST_F(ServeChaosTest, MidBatchThrowFailsThatBatchOnlyAndServerRecovers) {
   ServeRequest request;
   request.id = 1;
   request.node = 2;
-  std::future<ServeResponse> poisoned = server.QueryAsync(request);
+  ServeFuture poisoned = server.QueryAsync(request);
   try {
     poisoned.get();
     FAIL() << "expected the injected handler failure";
@@ -212,7 +207,7 @@ TEST_F(ServeChaosTest, MidBatchThrowFailsThatBatchOnlyAndServerRecovers) {
     EXPECT_NE(std::string(e.what()).find("injected mid-batch fault"),
               std::string::npos);
   }
-  // The worker survived its handler throwing: the next query is served
+  // The batcher survived its handler throwing: the next query is served
   // with the exact offline bits.
   EXPECT_TRUE(BitwiseEqualRow(offline, 2, server.Query(request).logits));
 }
@@ -226,7 +221,6 @@ TEST_F(ServeChaosTest, PublishInsideBatchWindowYieldsOldOrNewBitsOnly) {
   const Matrix offline_a = artifact_a.Infer(graph);
   const Matrix offline_b = artifact_b.Infer(graph);
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 8;
   InferenceServer server(InferenceSession(artifact_a, graph), options);
 
@@ -238,7 +232,7 @@ TEST_F(ServeChaosTest, PublishInsideBatchWindowYieldsOldOrNewBitsOnly) {
   });
   FaultInjector::Global().Arm(Fault::kSwapDuringBatch, 1);
 
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<ServeFuture> futures;
   for (int q = 0; q < 64; ++q) {
     ServeRequest request;
     request.id = q;
@@ -447,7 +441,6 @@ TEST_P(ServeChaosTransportTest, TornSocketMidResponseLeavesServerServing) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 59);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 2;
   TcpChaos tcp(artifact, graph, options);
 
   {
@@ -484,7 +477,6 @@ TEST_P(ServeChaosTransportTest, HalfClosedClientGetsEveryAnswerThenEof) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 67);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 4;
   TcpChaos tcp(artifact, graph, options);
 
@@ -516,7 +508,6 @@ TEST_F(ServeChaosTest, ShutdownClosesIdleConnectionsAndAnswersInFlight) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 71);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 1;
   TcpChaos tcp(artifact, graph, options);
 
   RawClient idle_json(tcp.port());
@@ -565,11 +556,10 @@ TEST_F(ServeChaosTest, DrainFlushesAcceptedWorkAndRejectsNewWithCode) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 61);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 8;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
-  std::vector<std::future<ServeResponse>> accepted;
+  std::vector<ServeFuture> accepted;
   for (int q = 0; q < 24; ++q) {
     ServeRequest request;
     request.id = q;
@@ -585,7 +575,7 @@ TEST_F(ServeChaosTest, DrainFlushesAcceptedWorkAndRejectsNewWithCode) {
   } catch (const ServeError& e) {
     EXPECT_EQ(e.code(), ServeErrorCode::kDraining);
   }
-  server.Drain();  // idempotent over BeginDrain; joins the workers
+  server.Drain();  // idempotent over BeginDrain; runs what is queued
   for (int q = 0; q < 24; ++q) {
     const ServeResponse response =
         accepted[static_cast<std::size_t>(q)].get();
@@ -601,11 +591,9 @@ TEST_F(ServeChaosTest, StopRacingSubmitResolvesEveryFuture) {
   // The shutdown race TSan must see: submitters hammer Submit while the
   // batcher Stops underneath them. Every outcome is binary — a submission
   // either throws ServeError(kDraining) at the call site or returns a
-  // future that RESOLVES. A future that never resolves (a dropped promise)
-  // hangs the wait below and fails the test.
+  // future that Stop has RESOLVED by the time it returns, awaited or not.
   for (int round = 0; round < 8; ++round) {
     ServeOptions options;
-    options.threads = 2;
     options.max_batch = 4;
     auto batcher = std::make_unique<MicroBatcher>(
         options, [](std::vector<PendingQuery*>& batch) {
@@ -616,7 +604,7 @@ TEST_F(ServeChaosTest, StopRacingSubmitResolvesEveryFuture) {
     constexpr int kSubmitters = 4;
     constexpr int kPerThread = 50;
     std::mutex futures_mu;
-    std::vector<std::pair<int, std::future<ServeResponse>>> futures;
+    std::vector<std::pair<int, ServeFuture>> futures;
     std::vector<std::thread> submitters;
     for (int t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&, t] {
@@ -624,7 +612,7 @@ TEST_F(ServeChaosTest, StopRacingSubmitResolvesEveryFuture) {
           ServeRequest request;
           request.node = t * kPerThread + i;
           try {
-            std::future<ServeResponse> f = batcher->Submit(request);
+            ServeFuture f = batcher->Submit(request);
             std::lock_guard<std::mutex> lock(futures_mu);
             futures.emplace_back(request.node, std::move(f));
           } catch (const ServeError&) {
@@ -641,9 +629,8 @@ TEST_F(ServeChaosTest, StopRacingSubmitResolvesEveryFuture) {
     batcher->Stop();
     for (auto& t : submitters) t.join();
     for (auto& [node, future] : futures) {
-      ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-                std::future_status::ready)
-          << "round " << round << ": a submitted future never resolved";
+      ASSERT_TRUE(future.ready())
+          << "round " << round << ": Stop left a submitted future unresolved";
       EXPECT_EQ(future.get().label, node);
     }
   }

@@ -159,7 +159,6 @@ class ServeConformanceTest : public ::testing::Test {
     models.push_back({"default", InferenceSession(*default_artifact_, graph_)});
     models.push_back({"alt", InferenceSession(*alt_artifact_, graph_)});
     ServeOptions options;
-    options.threads = 2;
     options.max_batch = 8;
     // Bounded queue so the 'overloaded' rejection golden can quote a fixed
     // max_queue; large enough that no conformance stream ever fills it.
@@ -631,7 +630,6 @@ TEST(ServeBudgetEnforcementConformance, OverCapPublishRefusedOldBitsServe) {
   std::vector<ModelRouter::NamedModel> models;
   models.push_back({"default", InferenceSession(artifact, graph)});
   ServeOptions options;
-  options.threads = 1;
   options.max_batch = 4;
   options.budget_cap = 1.5;
   InferenceServer server(std::move(models), options);

@@ -214,7 +214,6 @@ class ServeFrameConformanceTest : public ::testing::Test {
         {"default", InferenceSession(*default_artifact_, graph_)});
     models.push_back({"alt", InferenceSession(*alt_artifact_, graph_)});
     ServeOptions options;
-    options.threads = 2;
     options.max_batch = 8;
     options.max_queue = 64;
     FaultInjector::Global().Reset();
@@ -521,6 +520,29 @@ TEST_F(ServeFrameConformanceTest, PipelinedBurstAnswersInOrder) {
   }
 }
 
+TEST_F(ServeFrameConformanceTest, PipelinedBurstRunsAsOneBatch) {
+  // A burst of max_batch frames in one write: the connection thread
+  // queues all of them before it awaits the first answer, then runs the
+  // whole burst as one batch itself.
+  FrameClient client(port());
+  ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+  const std::uint64_t batches_before = server_->batches_run();
+  std::string burst;
+  for (int i = 0; i < 8; ++i) {
+    ServeRequest request;
+    request.id = 200 + i;
+    request.node = 8 - i;
+    burst += EncodeRequestFrame(request);
+  }
+  client.Send(burst);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(client.ReadFrameBytes(),
+              GoldenResponseFrame(200 + i, 8 - i, offline_default_,
+                                  static_cast<std::size_t>(8 - i)));
+  }
+  EXPECT_EQ(server_->batches_run() - batches_before, 1u);
+}
+
 // --- Coded rejections ------------------------------------------------------
 
 TEST_F(ServeFrameConformanceTest, OverloadedRejectionIsCodedAndRetryServes) {
@@ -764,7 +786,6 @@ TEST_F(ServeFrameConformanceTest, OverCapPublishRefusedCodedOverBinary) {
   std::vector<ModelRouter::NamedModel> models;
   models.push_back({"only", InferenceSession(*default_artifact_, graph_)});
   ServeOptions options;
-  options.threads = 1;
   options.max_batch = 4;
   options.budget_cap = 1.5;  // construction spends 1.0 of it
   InferenceServer server(std::move(models), options);

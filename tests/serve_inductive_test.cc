@@ -214,7 +214,6 @@ TEST(ServeInductive, ServerAnswersFeatureQueriesBitwise) {
   const Matrix offline = artifact.Infer(AugmentGraph(graph, features, edges));
 
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 8;
   InferenceServer server(InferenceSession(artifact, graph), options);
   ServeRequest request;

@@ -256,7 +256,6 @@ class ServeObservabilityTest : public ::testing::Test {
     models.push_back({"default", InferenceSession(*default_artifact_, graph_)});
     models.push_back({"alt", InferenceSession(*alt_artifact_, graph_)});
     ServeOptions options;
-    options.threads = 2;
     options.max_batch = 8;
     options.max_queue = 64;
     FaultInjector::Global().Reset();
@@ -335,13 +334,12 @@ TEST_F(ServeObservabilityTest, JsonMetricsVerbCountsAcceptedQueries) {
                    client.bytes_sent(), client.bytes_received());
 }
 
-/// One-model ("default") server over the tiny graph, one batch worker.
+/// One-model ("default") server over the tiny graph.
 std::unique_ptr<InferenceServer> OneModelServer(const Graph& graph,
                                                 const GconArtifact& artifact) {
   std::vector<ModelRouter::NamedModel> models;
   models.push_back({"default", InferenceSession(artifact, graph)});
   ServeOptions options;
-  options.threads = 1;
   return std::make_unique<InferenceServer>(std::move(models), options);
 }
 

@@ -1,6 +1,6 @@
 // Serving subsystem: bitwise identity of served vs offline inference
 // (single, batched, under concurrent clients), multi-model routing over
-// the shared-worker batcher, the micro-batcher's lifecycle (single- and
+// the shared batcher, the micro-batcher's lifecycle (single- and
 // multi-queue), the wire format, option validation, the latency histogram,
 // and malformed-artifact error reporting.
 #include <gtest/gtest.h>
@@ -8,8 +8,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +24,7 @@
 #include "rng/rng.h"
 #include "serve_test_util.h"
 #include "serve/batcher.h"
+#include "serve/fault_injection.h"
 #include "serve/inference_session.h"
 #include "obs/latency_stats.h"
 #include "serve/server.h"
@@ -176,7 +177,6 @@ TEST(ReleasePath, NeverBuildsTheDenseFeatureMatrix) {
     std::vector<ModelRouter::NamedModel> models;
     models.push_back({"m", InferenceSession(artifact, graph)});
     ServeOptions options;
-    options.threads = 1;
     InferenceServer server(std::move(models), options);
     GconArtifact next = artifact;
     next.theta(0, 0) += 1.0;
@@ -197,7 +197,6 @@ TEST(InferenceServer, ConcurrentClientsGetBitwiseOfflineAnswers) {
   const Matrix offline = artifact.Infer(graph);
 
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 8;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
@@ -237,11 +236,10 @@ TEST(InferenceServer, AsyncPipelineCoalescesAndPreservesIdentity) {
   const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 19);
   const Matrix offline = artifact.Infer(graph);
   ServeOptions options;
-  options.threads = 1;
   options.max_batch = 16;
   InferenceServer server(InferenceSession(artifact, graph), options);
 
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<ServeFuture> futures;
   for (int v = 0; v < graph.num_nodes(); ++v) {
     ServeRequest request;
     request.id = v;
@@ -255,8 +253,114 @@ TEST(InferenceServer, AsyncPipelineCoalescesAndPreservesIdentity) {
                                 response.logits))
         << "node " << v;
   }
-  // A pipelined burst into an idle single worker must actually batch.
+  // A pipelined burst, awaited in order, must actually batch.
   EXPECT_LT(server.batches_run(), server.queries_served());
+}
+
+TEST(InferenceServer, UncontendedQueryRunsItsBatchOnTheCallingThread) {
+  // Flat combining: with no other traffic, the thread that asks runs its
+  // own batch — no handoff to another thread and back.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 27);
+  const Matrix offline = artifact.Infer(graph);
+  InferenceServer server(InferenceSession(artifact, graph), ServeOptions{});
+  FaultInjector::Global().Reset();
+  // The swap-during-batch site fires inside the server's batch handler.
+  std::thread::id handler_thread;
+  FaultInjector::Global().SetCallback(Fault::kSwapDuringBatch, [&] {
+    handler_thread = std::this_thread::get_id();
+  });
+  FaultInjector::Global().Arm(Fault::kSwapDuringBatch, 1);
+  ServeRequest request;
+  request.id = 1;
+  request.node = 4;
+  const ServeResponse response = server.Query(request);
+  FaultInjector::Global().Reset();
+  EXPECT_EQ(handler_thread, std::this_thread::get_id());
+  EXPECT_TRUE(BitwiseEqualRow(offline, 4, response.logits));
+}
+
+TEST(InferenceServer, DrainAndDestructionResolveQueriesNobodyAwaits) {
+  // Accepted queries whose handles are never awaited still resolve: by
+  // Drain, or by the server's destruction — and the answered handles
+  // outlive the server.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 37);
+  const Matrix offline = artifact.Infer(graph);
+  ServeOptions options;
+  options.max_batch = 4;
+  for (const bool drain : {true, false}) {
+    SCOPED_TRACE(drain ? "Drain" : "destructor");
+    std::vector<ServeFuture> futures;
+    {
+      InferenceServer server(InferenceSession(artifact, graph), options);
+      for (int v = 0; v < graph.num_nodes(); ++v) {
+        ServeRequest request;
+        request.id = v;
+        request.node = v;
+        futures.push_back(server.QueryAsync(request));
+      }
+      if (drain) {
+        server.Drain();
+        for (const ServeFuture& future : futures) {
+          EXPECT_TRUE(future.ready());
+        }
+        EXPECT_EQ(server.queries_served(), futures.size());
+      }
+    }
+    for (int v = 0; v < graph.num_nodes(); ++v) {
+      ServeFuture& future = futures[static_cast<std::size_t>(v)];
+      ASSERT_TRUE(future.ready()) << "node " << v;
+      EXPECT_TRUE(BitwiseEqualRow(offline, static_cast<std::size_t>(v),
+                                  future.get().logits))
+          << "node " << v;
+    }
+  }
+}
+
+TEST(InferenceServer, ConcurrentCombinersStayBitwiseOffline) {
+  // Eight pipelining clients each keep a window of queries in flight and
+  // await the oldest, so every client also runs batches holding the other
+  // clients' queries. Every answer must still be its node's offline row.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 41);
+  const Matrix offline = artifact.Infer(graph);
+  ServeOptions options;
+  options.max_batch = 8;
+  InferenceServer server(InferenceSession(artifact, graph), options);
+
+  constexpr int kClients = 8;
+  constexpr int kQueries = 1000;
+  constexpr std::size_t kWindow = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::deque<std::pair<int, ServeFuture>> inflight;
+      const auto await_oldest = [&] {
+        const int v = inflight.front().first;
+        const ServeResponse response = inflight.front().second.get();
+        inflight.pop_front();
+        if (response.node != v ||
+            !BitwiseEqualRow(offline, static_cast<std::size_t>(v),
+                             response.logits)) {
+          mismatches.fetch_add(1);
+        }
+      };
+      for (int q = 0; q < kQueries; ++q) {
+        ServeRequest request;
+        request.id = c * kQueries + q;
+        request.node = (c * 131 + q * 7) % graph.num_nodes();
+        inflight.emplace_back(request.node, server.QueryAsync(request));
+        if (inflight.size() >= kWindow) await_oldest();
+      }
+      while (!inflight.empty()) await_oldest();
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.queries_served(),
+            static_cast<std::uint64_t>(kClients * kQueries));
 }
 
 TEST(InferenceServer, RejectsBadRequestsAtSubmitTime) {
@@ -278,9 +382,6 @@ TEST(ServeOptions, ValidateNamesTheOffendingKnob) {
       return std::string(e.what());
     }
   };
-  ServeOptions zero_threads;
-  zero_threads.threads = 0;
-  EXPECT_NE(message_of(zero_threads).find("threads"), std::string::npos);
   ServeOptions negative_batch;
   negative_batch.max_batch = -4;
   EXPECT_NE(message_of(negative_batch).find("max_batch"), std::string::npos);
@@ -289,14 +390,13 @@ TEST(ServeOptions, ValidateNamesTheOffendingKnob) {
 
 TEST(MicroBatcher, StopDrainsAndRejectsLateSubmissions) {
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 4;
   MicroBatcher batcher(options, [](std::vector<PendingQuery*>& batch) {
     for (PendingQuery* p : batch) {
       p->response.label = p->request.node;
     }
   });
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<ServeFuture> futures;
   for (int i = 0; i < 20; ++i) {
     ServeRequest request;
     request.node = i;
@@ -363,7 +463,6 @@ TEST(InferenceServer, RoutesQueriesToNamedModelsBitwise) {
   models.push_back({"a", InferenceSession(artifact_a, graph)});
   models.push_back({"b", InferenceSession(artifact_b, graph)});
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 8;
   InferenceServer server(std::move(models), options);
 
@@ -428,7 +527,6 @@ TEST(InferenceServer, EmptyModelFieldRoutesToDefault) {
 
 TEST(MicroBatcher, MultiQueueSharesWorkersAndKeepsPerQueueCounters) {
   ServeOptions options;
-  options.threads = 2;
   options.max_batch = 4;
   // Queue handlers stamp which queue ran the batch; a cross-queue batch
   // would mislabel every query in it.
@@ -440,7 +538,7 @@ TEST(MicroBatcher, MultiQueueSharesWorkersAndKeepsPerQueueCounters) {
   }
   MicroBatcher batcher(options, std::move(handlers));
   ASSERT_EQ(batcher.num_queues(), 3u);
-  std::vector<std::pair<std::size_t, std::future<ServeResponse>>> futures;
+  std::vector<std::pair<std::size_t, ServeFuture>> futures;
   for (int i = 0; i < 60; ++i) {
     const std::size_t queue = static_cast<std::size_t>(i % 3);
     ServeRequest request;

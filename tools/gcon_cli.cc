@@ -33,7 +33,7 @@
 //            exits 3 so operators can distinguish "cap spent" from a
 //            usage error.
 //   serve    --graph=in.graph --model=in.model [--model name=path]...
-//            [--port=7070] [--threads=1] [--max_batch=32]
+//            [--port=7070] [--max_batch=32]
 //            [--max_queue=4096] [--io_timeout_ms=30000]
 //            [--budget-ledger=path] [--budget-cap=0]
 //            Loads each artifact once and serves node-prediction queries
@@ -350,10 +350,14 @@ int CmdServe(const gcon::Flags& flags) {
     std::cerr << "serve requires --graph and at least one --model\n";
     return 2;
   }
-  // Strict knob validation up front: zero/negative worker counts, batch
-  // sizes, or timeouts are invocation bugs, not modes (exit 2, flag named).
+  // --threads is eval's; the threads awaiting answers run serve's batches.
+  if (flags.Has("threads")) {
+    std::cerr << "Unknown flag --threads for serve\n" << flags.Usage();
+    return 2;
+  }
+  // Strict knob validation up front: zero/negative batch sizes or timeouts
+  // are invocation bugs, not modes (exit 2, flag named).
   gcon::ServeOptions options;
-  options.threads = flags.GetPositiveInt("threads", 1);
   options.max_batch = flags.GetPositiveInt("max_batch", 32);
   options.max_queue = flags.GetInt("max_queue", 4096);
   options.io_timeout_ms = flags.GetPositiveInt("io_timeout_ms", 30000);
