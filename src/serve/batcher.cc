@@ -90,6 +90,8 @@ MicroBatcher::~MicroBatcher() { Stop(); }
 void MicroBatcher::Stop() {
   BeginDrain();
   Combine(nullptr);
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] { return combiners_ == 0; });
 }
 
 void MicroBatcher::BeginDrain() {
@@ -156,16 +158,14 @@ ServeResponse ServeFuture::get() {
 
 void MicroBatcher::Combine(PendingQuery* query) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    // `done` is only set under mu_, so this read cannot miss the wakeup.
-    if (query != nullptr ? query->done.load(std::memory_order_relaxed)
-                         : total_pending_ == 0 && running_ == 0) {
-      return;
-    }
+  ++combiners_;
+  // `done` is only set under mu_, so this read cannot miss the wakeup.
+  while (query != nullptr ? !query->done.load(std::memory_order_relaxed)
+                          : total_pending_ > 0) {
     if (total_pending_ == 0) {
       // Everything queued is already running on other threads, `query`
-      // included: wait for its batch (or, for Stop, the last batch).
-      (query != nullptr ? query->answered : idle_).wait(lock);
+      // included: wait for its batch.
+      query->answered.wait(lock);
       continue;
     }
     Batch batch;
@@ -175,6 +175,9 @@ void MicroBatcher::Combine(PendingQuery* query) {
     batch.clear();  // frees answered queries (and their frame pins) unlocked
     lock.lock();
   }
+  // Notified under the lock: once combiners_ reads 0, Stop may return and
+  // the batcher be destroyed, so nothing may touch it after the unlock.
+  if (--combiners_ == 0) idle_.notify_all();
 }
 
 MicroBatcher::Queue* MicroBatcher::TakeBatchLocked(Batch* batch) {
@@ -194,7 +197,6 @@ MicroBatcher::Queue* MicroBatcher::TakeBatchLocked(Batch* batch) {
                 std::make_move_iterator(first + take));
   queue->pending.erase(first, first + take);
   total_pending_ -= batch->size();
-  ++running_;
   return queue;
 }
 
@@ -254,12 +256,7 @@ void MicroBatcher::RunBatch(Queue* queue, Batch* batch) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& p : *batch) {
-      p->done.store(true, std::memory_order_release);
-    }
-    // Notified under the lock: once running_ reads 0, Stop may return and
-    // the batcher be destroyed, so nothing may touch it after the unlock.
-    if (--running_ == 0) idle_.notify_all();
+    for (const auto& p : *batch) p->done.store(true, std::memory_order_release);
   }
   // The batch still owns its queries, so their waiters can be woken
   // outside the lock, where a woken waiter does not block on it again.

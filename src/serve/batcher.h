@@ -108,11 +108,6 @@ class ServeFuture {
   ServeFuture(ServeFuture&&) = default;
   ServeFuture& operator=(ServeFuture&&) = default;
 
-  /// True once the query's batch has run. Never blocks or combines.
-  bool ready() const {
-    return query_->done.load(std::memory_order_acquire);
-  }
-
   /// Returns the response, or rethrows the query's error (a
   /// ServeError(kDeadlineExceeded), or the handler's exception). Until the
   /// query's batch has run, runs pending batches or waits for the ones
@@ -154,21 +149,21 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  /// Enqueues one query on `queue`; its future resolves when its batch
-  /// has run. Queued queries run only when some thread awaits one (or at
-  /// Stop), so a caller refused with kOverloaded should await what it has
-  /// in flight before it retries. The single-argument form targets queue 0.
+  /// Enqueues one query on `queue` (the one-argument form: queue 0). It
+  /// runs only when some thread awaits a query (or at Stop), so a caller
+  /// refused with kOverloaded must await what it has in flight before it
+  /// retries; there is no poll that makes progress.
   ServeFuture Submit(ServeRequest request) {
     return Submit(0, std::move(request));
   }
   ServeFuture Submit(std::size_t queue, ServeRequest request);
 
   /// Graceful shutdown: stops admitting (as BeginDrain), runs every queued
-  /// batch on the calling thread, and waits out the batches other threads
-  /// are running. Every accepted query has resolved (value or structured
-  /// error) when it returns, awaited or not; none is dropped. Submissions
-  /// after it fail with ServeError(kDraining) (a std::runtime_error).
-  /// Idempotent; the destructor calls it.
+  /// batch on the calling thread, and waits until no thread is in Combine
+  /// (running a batch or waiting in ServeFuture::get). Every accepted query
+  /// has resolved (value or structured error) when it returns, awaited or
+  /// not. Submissions after it fail with ServeError(kDraining) (a
+  /// std::runtime_error). Idempotent; the destructor calls it.
   void Stop();
 
   /// Stops admitting (Submit throws ServeError(kDraining)) while queries
@@ -276,12 +271,11 @@ class MicroBatcher {
   using Batch = std::vector<std::shared_ptr<PendingQuery>>;
 
   /// Runs batches on the calling thread until `query` has resolved, or,
-  /// when `query` is null, until no batch is queued or running. Waits for
-  /// other threads' batches when nothing is queued.
+  /// when `query` is null, until no batch is queued. Waits for other
+  /// threads' batches when nothing is queued.
   void Combine(PendingQuery* query);
-  /// Moves the oldest pending query's queue's head, up to max_batch
-  /// queries, into *batch and returns that queue. Requires mu_ held and
-  /// total_pending_ > 0; counts the batch as running.
+  /// Moves up to max_batch queries from the head of the queue whose head
+  /// waited longest into *batch; returns it. Needs mu_ and a pending query.
   Queue* TakeBatchLocked(Batch* batch);
   /// The batch body, outside the lock: trace stamp, slow-handler site,
   /// deadline drop, handler, latency record; then marks every query in
@@ -291,12 +285,12 @@ class MicroBatcher {
   ServeOptions options_;
 
   mutable std::mutex mu_;
-  /// Notified when the last running batch finishes, for Stop.
+  /// Notified when the last thread leaves Combine, for Stop.
   std::condition_variable idle_;
   std::vector<std::unique_ptr<Queue>> queues_;
   std::size_t total_pending_ = 0;
-  /// Batches taken and not yet finished.
-  std::size_t running_ = 0;
+  /// Threads inside Combine: each may still lock mu_, so Stop waits for 0.
+  std::size_t combiners_ = 0;
   bool draining_ = false;
 };
 

@@ -702,43 +702,53 @@ std::string AdminBody(InferenceServer* server, const Inbound& message) {
 ///
 /// The flush rule: before blocking for the next message, if answers are
 /// pending, the codec has no complete message buffered, and a non-blocking
-/// peek finds the socket empty, flush. A client now waiting for answers
-/// gets them; a client mid-burst keeps adding to the pending queue. The
-/// flush awaits the answers in order, and awaiting runs pending batches on
-/// this thread (flat combining, serve/batcher.h), so the burst a client
-/// pipelined before waiting runs as one batch. All of a flush's answers
-/// go out in one send.
+/// peek finds the socket empty, flush: await the answers in order, which
+/// runs pending batches on this thread (flat combining, serve/batcher.h),
+/// and send them all at once. A burst a client pipelined before waiting
+/// thus runs as one batch. A longer burst is awaited every max_batch (or
+/// max_queue) queries, so it cannot fill its model's queue by itself; its
+/// answers still go out only at a flush, once the client has nothing more
+/// queued, so this thread does not write while the client is writing.
 void RunConnection(InferenceServer* server, Socket* socket, Codec* codec) {
   struct InFlight {
     std::int64_t id;
     ServeFuture future;
     std::shared_ptr<obs::RequestTrace> trace;
   };
+  const ServeOptions& options = server->options();
+  const auto await_every = static_cast<std::size_t>(
+      options.max_queue > 0 ? std::min(options.max_batch, options.max_queue)
+                            : options.max_batch);
   std::vector<InFlight> pending;
+  std::size_t awaited = 0;  // pending[0, awaited) are encoded in `answers`
   std::string answers;
   bool open = true;  // false once a write fails: stop reading and writing
   auto send = [&](const std::string& data) {
     if (open) open = socket->Send(data);
   };
-  auto flush = [&] {
-    if (pending.empty()) return;
-    answers.clear();
-    for (InFlight& query : pending) {
+  auto await = [&] {
+    for (; awaited < pending.size(); ++awaited) {
       try {
-        answers += codec->EncodeResponse(query.future.get());
+        answers += codec->EncodeResponse(pending[awaited].future.get());
       } catch (...) {
-        answers += EncodeCurrentException(*codec, query.id);
+        answers += EncodeCurrentException(*codec, pending[awaited].id);
       }
     }
-    send(answers);
+  };
+  auto flush = [&] {
+    await();
+    if (!answers.empty()) send(answers);
+    answers.clear();
     for (InFlight& query : pending) {
       obs::TraceRecorder::Global().Finish(query.trace);
     }
     pending.clear();
+    awaited = 0;
   };
   auto next = [&](Inbound* message) {
     while (!codec->Decode(message)) {
-      if (!pending.empty() && !socket->HasQueuedBytes()) flush();
+      const bool answering = !pending.empty() || !answers.empty();
+      if (answering && !socket->HasQueuedBytes()) flush();
       if (!open || !codec->Fill()) return false;
     }
     return true;
@@ -757,11 +767,12 @@ void RunConnection(InferenceServer* server, Socket* socket, Codec* codec) {
             {id, server->QueryAsync(std::move(request)), std::move(trace)});
       } catch (...) {
         // Admission rejection (overloaded / draining / invalid): answered
-        // at once, coded where it has a code, so a client backs off
-        // instead of hanging.
-        flush();
-        send(EncodeCurrentException(*codec, id));
+        // in order at the next flush, coded where it has a code, so a
+        // client backs off instead of hanging.
+        await();
+        answers += EncodeCurrentException(*codec, id);
       }
+      if (pending.size() - awaited >= await_every) await();
       continue;
     }
     flush();

@@ -22,6 +22,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -628,11 +629,58 @@ TEST_F(ServeChaosTest, StopRacingSubmitResolvesEveryFuture) {
     }
     batcher->Stop();
     for (auto& t : submitters) t.join();
+    // Stop ran every accepted query (no deadlines, so each one counts as
+    // served), so get() below only reads its answer.
+    ASSERT_EQ(batcher->queries_served(), futures.size())
+        << "round " << round << ": Stop left a submitted query unresolved";
     for (auto& [node, future] : futures) {
-      ASSERT_TRUE(future.ready())
-          << "round " << round << ": Stop left a submitted future unresolved";
       EXPECT_EQ(future.get().label, node);
     }
+  }
+}
+
+TEST_F(ServeChaosTest, DestroyingServerWaitsOutThreadsBlockedInGet) {
+  // Waiters blocked in get() while another waiter runs their batch slowly:
+  // destroying the server must wait until every one of them has left the
+  // batcher (each relocks its mutex on the way out). Under ASan or TSan a
+  // destructor that returned as soon as the batch finished is a
+  // use-after-free report.
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 47);
+  const Matrix offline = artifact.Infer(graph);
+  ServeOptions options;  // max_batch 32: one batch holds every query below
+  auto server = std::make_unique<InferenceServer>(
+      InferenceSession(artifact, graph), options);
+  constexpr int kWaiters = 4;
+  std::vector<ServeFuture> futures;
+  for (int v = 0; v < kWaiters; ++v) {
+    ServeRequest request;
+    request.id = v;
+    request.node = v;
+    futures.push_back(server->QueryAsync(request));
+  }
+  FaultInjector::Global().set_slow_handler_us(200000);
+  FaultInjector::Global().Arm(Fault::kSlowHandler, 1);
+  std::atomic<int> started{0};
+  std::vector<std::vector<double>> logits(kWaiters);
+  std::vector<std::thread> waiters;
+  for (int v = 0; v < kWaiters; ++v) {
+    waiters.emplace_back([&, v] {
+      started.fetch_add(1);
+      logits[static_cast<std::size_t>(v)] =
+          futures[static_cast<std::size_t>(v)].get().logits;
+    });
+  }
+  while (started.load() < kWaiters) std::this_thread::yield();
+  // The first waiter in took the batch and sleeps in it; let the others
+  // block behind it before the server goes away underneath them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.reset();
+  for (auto& t : waiters) t.join();
+  for (int v = 0; v < kWaiters; ++v) {
+    EXPECT_TRUE(BitwiseEqualRow(offline, static_cast<std::size_t>(v),
+                                logits[static_cast<std::size_t>(v)]))
+        << "node " << v;
   }
 }
 

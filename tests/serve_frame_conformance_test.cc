@@ -543,6 +543,48 @@ TEST_F(ServeFrameConformanceTest, PipelinedBurstRunsAsOneBatch) {
   EXPECT_EQ(server_->batches_run() - batches_before, 1u);
 }
 
+TEST_F(ServeFrameConformanceTest, BurstPastMaxQueueIsAnsweredNotShed) {
+  // One client writes a burst eight times its model's max_queue before it
+  // reads anything. The connection thread awaits its queries every
+  // max_queue of them, so the burst never fills the queue by itself:
+  // nothing is shed, every answer is the offline row, and the burst runs
+  // as one full batch per max_queue queries.
+  ServeOptions options;
+  options.max_batch = 32;
+  options.max_queue = 8;
+  InferenceServer server(InferenceSession(*default_artifact_, graph_),
+                         options);
+  std::atomic<bool> shutdown{false};
+  std::atomic<int> bound_port{0};
+  std::thread listener(
+      [&] { RunTcpServer(&server, /*port=*/0, &shutdown, &bound_port); });
+  while (bound_port.load(std::memory_order_acquire) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    FrameClient client(bound_port.load(std::memory_order_acquire));
+    EXPECT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+    std::string burst;
+    for (int i = 0; i < 64; ++i) {
+      ServeRequest request;
+      request.id = 300 + i;
+      request.node = i % graph_.num_nodes();
+      burst += EncodeRequestFrame(request);
+    }
+    client.Send(burst);
+    for (int i = 0; i < 64; ++i) {
+      const int node = i % graph_.num_nodes();
+      EXPECT_EQ(client.ReadFrameBytes(),
+                GoldenResponseFrame(300 + i, node, offline_default_,
+                                    static_cast<std::size_t>(node)))
+          << "query " << i;
+    }
+  }
+  EXPECT_EQ(server.batches_run(), 8u);
+  shutdown.store(true, std::memory_order_release);
+  listener.join();
+}
+
 // --- Coded rejections ------------------------------------------------------
 
 TEST_F(ServeFrameConformanceTest, OverloadedRejectionIsCodedAndRetryServes) {
