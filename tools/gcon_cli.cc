@@ -75,6 +75,9 @@
 // Exit codes: 0 success, 2 usage error, 3 publish refused over budget
 // (retrain only; the trained artifact is on disk, the server unchanged).
 #include <arpa/inet.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -343,6 +346,21 @@ void HandleServeSignal(int /*signum*/) {
   g_serve_shutdown.store(true, std::memory_order_release);
 }
 
+// serve runs each batch on whichever connection thread awaits it, and
+// glibc gives each of those threads its own malloc arena. Under glibc's
+// dynamic mmap threshold the first large block freed (an artifact load, a
+// wide inductive batch) raises the mmap and trim thresholds for good, so
+// from then on every arena keeps the largest transient it has held, and
+// resident memory depends on which thread happened to run the widest batch.
+// Pinning the threshold at glibc's 128 KiB default keeps large blocks in
+// mmap, returned to the kernel on free, and trims each arena's idle top,
+// so the process's RSS follows its live data.
+void PinMallocThresholds() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+}
+
 int CmdServe(const gcon::Flags& flags) {
   const std::string graph_path = flags.GetString("graph", "");
   const std::vector<std::string> model_flags = flags.GetList("model");
@@ -389,6 +407,7 @@ int CmdServe(const gcon::Flags& flags) {
   gcon::obs::TraceRecorder::Global().Configure(
       static_cast<std::uint32_t>(trace_sample), slow_query_us);
 
+  PinMallocThresholds();
   try {
     // Every model serves the same population: one graph in memory, shared
     // read-only across the sessions (each still runs its own encoder
