@@ -43,12 +43,11 @@
 //              loopback TCP through each wire codec. Request bytes are
 //              pre-encoded outside the timed loop, and the feature values
 //              are rounded through f32 first so both transports carry
-//              bit-identical doubles — the ratio isolates codec + copy
-//              cost, which is exactly what the zero-copy binary path
-//              (serve/frame.h: f32 payloads widened in place into the
-//              GEMM panel, no strtod, no intermediate vector) exists to
-//              delete. Runs at queries/5 — the JSON side moves ~20x the
-//              bytes and the ratio converges fast.
+//              bit-identical doubles — the ratio isolates codec cost,
+//              which is exactly what the binary path (serve/frame.h:
+//              f32 payloads decoded with fixed-width loads, no strtod)
+//              exists to delete. Runs at queries/5 — the JSON side
+//              moves ~20x the bytes and the ratio converges fast.
 //
 // Emits one JSON object on stdout:
 //
@@ -76,7 +75,7 @@
 // unloaded throughput — rejections are cheap, collapse is not),
 // obs_overhead_qps_ratio >= 0.97 (the metrics registry + 1/64 trace
 // sampling may cost at most 3% of batched QPS), and
-// binary_vs_json_qps >= 2.0 (the zero-copy binary transport must at
+// binary_vs_json_qps >= 2.0 (the binary frame transport must at
 // least double feature-carrying QPS over the text codec;
 // tools/bench_serve_json.sh -> BENCH_serve.json). The artifacts are synthesized (fresh Glorot encoder,
 // random Θ) — serving throughput does not care about model quality, and

@@ -8,32 +8,20 @@
 // version-skew hellos included; every rejection names its defect
 // (non-empty error, the same contract wire_fuzz holds the JSON parser
 // to); an accepted hello negotiates to a version the server-side ack
-// round-trips; an accepted request payload re-encodes (after copying the
-// zero-copy feature view into the owning vector) to a frame whose payload
-// parses back to the same request. The request parser is fed from a
-// 4-aligned buffer and the response parser from an 8-aligned one, exactly
-// the alignment the server's recv path guarantees.
+// round-trips; an accepted request holds only finite features and
+// re-encodes to a frame whose payload parses back to the same request.
+// The parsers read the fuzzer's bytes where they lie: no payload needs
+// any alignment.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "serve/frame.h"
 
 namespace {
-
-// Copies `size` bytes into a buffer aligned for `Align`-byte loads, as the
-// server's pooled frame buffers are. Returns a pointer valid for `size`
-// bytes (never null, even when size == 0).
-template <typename Align>
-const char* AlignedCopy(const std::uint8_t* data, std::size_t size,
-                        std::vector<Align>* storage) {
-  storage->assign(size / sizeof(Align) + 1, Align{});
-  if (size != 0) std::memcpy(storage->data(), data, size);
-  return reinterpret_cast<const char*>(storage->data());
-}
 
 void CheckRequestPayload(const char* payload, std::size_t size) {
   gcon::ServeRequest request;
@@ -42,30 +30,14 @@ void CheckRequestPayload(const char* payload, std::size_t size) {
     if (error.empty()) __builtin_trap();  // every rejection must say why
     return;
   }
-  // Zero-copy contract: an accepted feature-carrying payload exposes a
-  // view into `payload`, never an owning copy.
-  if (!request.features.empty()) __builtin_trap();
-  if (request.feature_view.data != nullptr) {
-    const char* lo = reinterpret_cast<const char*>(request.feature_view.data);
-    if (lo < payload || lo + 4ull * request.feature_view.count > payload + size)
-      __builtin_trap();
+  for (double v : request.features) {
+    if (!std::isfinite(v)) __builtin_trap();  // non-finite must reject
   }
-  // Round-trip: widen the view into the owning vector (the client-side
-  // encoding), re-encode, and the re-parsed payload must agree.
-  gcon::ServeRequest owned = request;
-  owned.feature_view = {};
-  for (std::uint32_t i = 0; i < request.feature_view.count; ++i) {
-    owned.features.push_back(
-        static_cast<double>(request.feature_view.data[i]));
-  }
-  const std::string frame = gcon::EncodeRequestFrame(owned);
-  std::vector<std::uint32_t> aligned;
-  const char* reencoded = AlignedCopy(
-      reinterpret_cast<const std::uint8_t*>(frame.data()) +
-          gcon::kFrameHeaderBytes,
-      frame.size() - gcon::kFrameHeaderBytes, &aligned);
+  // Round-trip: re-encode (f64 features narrow to f32, exactly, since they
+  // were widened from f32) and the re-parsed payload must agree.
+  const std::string frame = gcon::EncodeRequestFrame(request);
   gcon::ServeRequest again;
-  if (!gcon::ParseRequestPayload(reencoded,
+  if (!gcon::ParseRequestPayload(frame.data() + gcon::kFrameHeaderBytes,
                                  frame.size() - gcon::kFrameHeaderBytes,
                                  &again, &error)) {
     __builtin_trap();  // our own encoder emitted a rejected payload
@@ -75,12 +47,12 @@ void CheckRequestPayload(const char* payload, std::size_t size) {
       again.model != request.model || again.has_edges != request.has_edges ||
       again.edges != request.edges ||
       again.has_features != request.has_features ||
-      again.feature_view.count != request.feature_view.count) {
+      again.features.size() != request.features.size()) {
     __builtin_trap();
   }
-  if (request.feature_view.count != 0 &&
-      std::memcmp(again.feature_view.data, request.feature_view.data,
-                  4ull * request.feature_view.count) != 0) {
+  if (!request.features.empty() &&
+      std::memcmp(again.features.data(), request.features.data(),
+                  sizeof(double) * request.features.size()) != 0) {
     __builtin_trap();
   }
 }
@@ -120,17 +92,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
   }
 
-  // Payload parsers, each from a buffer with its server-side alignment.
+  // Payload parsers.
+  CheckRequestPayload(bytes, size);
   {
-    std::vector<std::uint32_t> aligned4;
-    CheckRequestPayload(AlignedCopy(data, size, &aligned4), size);
-  }
-  {
-    std::vector<double> aligned8;
-    const char* payload = AlignedCopy(data, size, &aligned8);
     gcon::ServeResponse response;
     error.clear();
-    if (!gcon::ParseResponsePayload(payload, size, &response, &error) &&
+    if (!gcon::ParseResponsePayload(bytes, size, &response, &error) &&
         error.empty()) {
       __builtin_trap();
     }

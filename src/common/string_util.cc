@@ -107,6 +107,22 @@ std::string FormatDouble(double value, int digits) {
   return out.str();
 }
 
+std::string EscapeJson(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n' || c == '\r' || c == '\t') {
+      out.push_back(' ');
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
 bool ParseFiniteDouble(const char* first, const char* last, double* out) {
   // strtod (and istream >> double) accept an explicit leading '+';
   // from_chars does not. Strip it so every token the old parsers took

@@ -20,6 +20,11 @@ std::string Trim(const std::string& s);
 /// Formats a double with `digits` significant decimal places (fixed).
 std::string FormatDouble(double value, int digits);
 
+/// Escapes `s` for the inside of a JSON string literal: '"' and '\\' get a
+/// backslash, and '\n', '\r' and '\t' become spaces, so the result never
+/// breaks a newline-delimited JSON line. Every other byte passes through.
+std::string EscapeJson(const std::string& s);
+
 /// Parses all of [first, last) as a finite decimal double, independent of
 /// the locale: an optional leading '+' is accepted and a magnitude below the
 /// smallest subnormal parses as signed zero, while nan, inf, overflow

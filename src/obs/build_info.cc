@@ -1,5 +1,6 @@
 #include "obs/build_info.h"
 
+#include "common/string_util.h"
 #include "linalg/gemm_kernels.h"
 
 #ifndef GCON_GIT_SHA
@@ -8,21 +9,6 @@
 
 namespace gcon {
 namespace obs {
-namespace {
-
-/// Minimal JSON string escaping; the inputs are compiler/version strings,
-/// not user data, but __VERSION__ can contain anything a vendor likes.
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\' || c == '"') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* GitSha() { return GCON_GIT_SHA; }
 
@@ -33,8 +19,8 @@ const char* SimdTier() {
 }
 
 std::string BuildInfoJson() {
-  return std::string("{\"git_sha\": \"") + JsonEscape(GitSha()) +
-         "\", \"compiler\": \"" + JsonEscape(CompilerVersion()) +
+  return std::string("{\"git_sha\": \"") + EscapeJson(GitSha()) +
+         "\", \"compiler\": \"" + EscapeJson(CompilerVersion()) +
          "\", \"simd\": \"" + SimdTier() + "\"}";
 }
 

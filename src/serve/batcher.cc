@@ -172,7 +172,7 @@ void MicroBatcher::Combine(PendingQuery* query) {
     Queue* queue = TakeBatchLocked(&batch);
     lock.unlock();
     RunBatch(queue, &batch);
-    batch.clear();  // frees answered queries (and their frame pins) unlocked
+    batch.clear();  // frees answered queries unlocked
     lock.lock();
   }
   // Notified under the lock: once combiners_ reads 0, Stop may return and

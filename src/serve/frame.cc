@@ -1,17 +1,10 @@
 #include "serve/frame.h"
 
+#include <cmath>
 #include <cstring>
-#include <limits>
 
 namespace gcon {
 namespace {
-
-// The zero-copy feature view reads f32 values straight out of the frame
-// buffer, so the wire's little-endian layout must be the host's. Every
-// supported target (x86-64, aarch64) is little-endian; a big-endian port
-// would byte-swap in ParseRequestPayload instead of taking the view.
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "binary frame codec assumes a little-endian host");
 
 void PutU16(std::string* out, std::uint16_t v) {
   out->push_back(static_cast<char>(v & 0xFF));
@@ -74,6 +67,13 @@ std::int32_t GetI32(const char* p) {
 
 std::int64_t GetI64(const char* p) {
   return static_cast<std::int64_t>(GetU64(p));
+}
+
+float GetF32(const char* p) {
+  const std::uint32_t bits = GetU32(p);
+  float v = 0.0f;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 double GetF64(const char* p) {
@@ -180,9 +180,8 @@ bool ParseFrameHeader(const char* bytes, FrameType* type,
 
 std::string EncodeRequestFrame(const ServeRequest& request) {
   std::string payload;
-  const std::size_t feature_count = request.feature_count();
   payload.reserve(kRequestHeaderBytes + 4 * request.edges.size() +
-                  4 * feature_count + request.model.size());
+                  4 * request.features.size() + request.model.size());
   PutI64(&payload, request.id);
   PutI64(&payload, request.deadline_us);
   PutI32(&payload, request.node);
@@ -193,25 +192,17 @@ std::string EncodeRequestFrame(const ServeRequest& request) {
   PutU32(&payload, request.has_edges
                        ? static_cast<std::uint32_t>(request.edges.size())
                        : 0u);
-  PutU32(&payload,
-         request.has_features ? static_cast<std::uint32_t>(feature_count)
-                              : 0u);
+  PutU32(&payload, request.has_features
+                       ? static_cast<std::uint32_t>(request.features.size())
+                       : 0u);
   PutU32(&payload, static_cast<std::uint32_t>(request.model.size()));
   if (request.has_edges) {
     for (int e : request.edges) PutI32(&payload, e);
   }
   if (request.has_features) {
-    if (request.feature_view.data != nullptr) {
-      for (std::uint32_t j = 0; j < request.feature_view.count; ++j) {
-        PutF32(&payload, request.feature_view.data[j]);
-      }
-    } else {
-      // The binary transport is f32: doubles narrow here, on the client —
-      // a server-side parse never rounds.
-      for (double v : request.features) {
-        PutF32(&payload, static_cast<float>(v));
-      }
-    }
+    // The binary transport is f32: doubles narrow here, on the client —
+    // a server-side parse never rounds.
+    for (double v : request.features) PutF32(&payload, static_cast<float>(v));
   }
   payload += request.model;
   return WrapFrame(FrameType::kRequest, payload);
@@ -287,13 +278,17 @@ bool ParseRequestPayload(const char* payload, std::size_t len,
     }
   }
   if (has_features) {
-    // The zero-copy contract: the request's feature payload IS the frame
-    // buffer. 36 + 4*edge_count keeps this offset 4-aligned whenever the
-    // buffer base is (the server reads frames into vector<char> storage,
-    // which operator new aligns well past 4).
-    request->feature_view.data = reinterpret_cast<const float*>(cursor);
-    request->feature_view.count = feature_dim;
-    cursor += 4ull * feature_dim;
+    // f32 -> f64 is exact, so a server-side parse never rounds. A
+    // non-finite value is refused, as the JSON transport refuses one.
+    request->features.resize(feature_dim);
+    for (std::uint32_t j = 0; j < feature_dim; ++j, cursor += 4) {
+      const float value = GetF32(cursor);
+      if (!std::isfinite(value)) {
+        *error = "features[" + std::to_string(j) + "] is not a finite number";
+        return false;
+      }
+      request->features[j] = value;
+    }
   }
   request->model.assign(cursor, model_len);
   return true;

@@ -3,10 +3,8 @@
 // admin/debug format (its admin verbs answer the same JSON documents over
 // either transport); binary exists so feature-carrying (inductive) queries
 // stop paying a text codec per feature: the payload ships little-endian
-// f32 features that the serve path reads *in place* — the connection's
-// frame buffer is pinned (ServeRequest::frame_pin) and the f32 values are
-// widened straight into the packed GEMM panel, with no intermediate
-// vector and no strtod.
+// f32 features, which the parser decodes like every other field — a fixed
+// 4-byte load each, widened exactly to f64, with no strtod.
 //
 // Transport negotiation is one byte deep: a binary client's very first
 // byte is kFramePreamble (0xC0), which no JSON line can start with, so
@@ -31,7 +29,7 @@
 // arrays is rejected with a structured `malformed_frame` error whose id
 // field echoes the request id whenever the payload reached offset 8.
 //
-// Request (type 0x10) — header 36 bytes, arrays 4-byte aligned after it:
+// Request (type 0x10) — header 36 bytes, then the arrays:
 //   off  0  i64  id
 //   off  8  i64  deadline_us        (0 = none; negative rejected)
 //   off 16  i32  node               (-1 = absent; < -1 rejected)
@@ -40,7 +38,7 @@
 //   off 28  u32  feature_dim        (0 unless bit1)
 //   off 32  u32  model_len          (0 = default model)
 //   off 36  i32  edges[edge_count]
-//   then    f32  features[feature_dim]   (4-aligned by construction)
+//   then    f32  features[feature_dim]   (finite; NaN/inf rejected)
 //   then    char model[model_len]        (name bytes, last)
 //
 // Response (type 0x11) — header 24 bytes, logits 8-byte aligned:
@@ -160,14 +158,12 @@ bool ParseFrameHeader(const char* bytes, FrameType* type,
 /// contract. Client-side (tests, bench, external clients).
 std::string EncodeRequestFrame(const ServeRequest& request);
 
-/// Decodes a request payload *in place*: on success, a feature-carrying
-/// request's ServeRequest::feature_view points INTO `payload` (the caller
-/// owns keeping those bytes alive — the server pins the frame buffer via
-/// ServeRequest::frame_pin; see inference_session.h). `payload` must be
-/// 4-byte aligned so the f32 view is loadable. On failure returns false
-/// with *error set and request->id carrying the id whenever the payload
-/// reached offset 8 — structured error correlation, the binary analogue
-/// of RecoverWireId.
+/// Decodes a request payload into an owning ServeRequest: f32 features
+/// widen exactly into ServeRequest::features, and a non-finite one is
+/// rejected with its index named. `payload` needs no alignment; nothing
+/// returned points into it. On failure returns false with *error set and
+/// request->id carrying the id whenever the payload reached offset 8 —
+/// structured error correlation, the binary analogue of RecoverWireId.
 bool ParseRequestPayload(const char* payload, std::size_t len,
                          ServeRequest* request, std::string* error);
 

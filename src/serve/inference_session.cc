@@ -72,6 +72,31 @@ std::uint64_t FingerprintArtifact(const GconArtifact& artifact) {
   return hash;
 }
 
+/// The batch's feature-carrying queries, in batch order, as one canonical
+/// CSR block: columns ascending, keeping exactly the entries that compare
+/// unequal to 0.0 — CsrMatrix::FromDense's rule, so each row equals the
+/// query node's row of the augmented graph's feature_csr().
+CsrMatrix InductiveRows(const std::vector<const ServeRequest*>& batch,
+                        std::size_t dim) {
+  std::vector<std::int64_t> row_ptr = {0};
+  std::vector<std::int32_t> col_idx;
+  std::vector<double> values;
+  for (const ServeRequest* request : batch) {
+    if (!request->has_features) continue;
+    const std::vector<double>& x = request->features;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      if (x[j] != 0.0) {
+        col_idx.push_back(static_cast<std::int32_t>(j));
+        values.push_back(x[j]);
+      }
+    }
+    row_ptr.push_back(static_cast<std::int64_t>(values.size()));
+  }
+  const std::size_t rows = row_ptr.size() - 1;
+  return CsrMatrix(rows, dim, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
 }  // namespace
 
 void InferenceSession::InitArtifact(GconArtifact artifact,
@@ -172,9 +197,9 @@ void InferenceSession::ValidateRequest(const ServeRequest& request) const {
       throw std::invalid_argument(
           "a query carries either 'node' or 'features', not both");
     }
-    if (static_cast<int>(request.feature_count()) != graph_->feature_dim()) {
+    if (static_cast<int>(request.features.size()) != graph_->feature_dim()) {
       throw std::invalid_argument(
-          "query features have " + std::to_string(request.feature_count()) +
+          "query features have " + std::to_string(request.features.size()) +
           " values but the encoder expects " +
           std::to_string(graph_->feature_dim()));
     }
@@ -310,38 +335,16 @@ Matrix InferenceSession::QueryBatch(
     }
     return out;
   }
-  // Feature-carrying queries share one coalesced encoder forward — a GEMM
-  // row's bits are independent of the batch's other rows, so this equals
+  // Feature-carrying queries share one coalesced encoder forward — a row's
+  // bits are independent of the batch's other rows, so this equals
   // encoding each query alone, which equals its row in the offline forward
   // over the augmented graph.
-  std::size_t inductive = 0;
-  for (const ServeRequest* request : batch) {
-    if (request->has_features) ++inductive;
-  }
   Matrix encoded_queries;
-  if (inductive > 0) {
-    Matrix raw(inductive, static_cast<std::size_t>(graph_->feature_dim()));
-    const std::size_t dim = static_cast<std::size_t>(graph_->feature_dim());
-    std::size_t q = 0;
-    for (const ServeRequest* request : batch) {
-      if (!request->has_features) continue;
-      double* dst = raw.RowPtr(q++);
-      if (request->feature_view.data != nullptr) {
-        // Binary transport: widen the pinned f32 frame payload straight
-        // into the packed panel. f32 -> f64 is exact, so this row is
-        // bitwise the row an offline Infer sees for the same (widened)
-        // feature values — the zero-copy path changes where the bytes
-        // come from, never what they are.
-        const float* src = request->feature_view.data;
-        for (std::size_t j = 0; j < dim; ++j) {
-          dst[j] = static_cast<double>(src[j]);
-        }
-      } else {
-        std::copy(request->features.begin(), request->features.end(), dst);
-      }
-    }
+  const CsrMatrix queries = InductiveRows(
+      batch, static_cast<std::size_t>(graph_->feature_dim()));
+  if (queries.rows() > 0) {
     encoded_queries = artifact_->encoder.HiddenRepresentation(
-        raw, artifact_->encoder.num_layers() - 1);
+        queries, artifact_->encoder.num_layers() - 1);
     RowL2NormalizeInPlace(&encoded_queries);
   }
   // One coalesced feature block, one GEMM — the micro-batcher's payoff. A

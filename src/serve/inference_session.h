@@ -31,9 +31,11 @@
 // a feature-carrying answer equals row n of Infer on the graph augmented
 // with the query node — by replicating the offline kernels' accumulation
 // order:
-//   * the encoded matrix is the same full-graph call, made once; a query
-//     row is a one-row forward through the same layers (GEMM rows are
-//     independent of the batch's other rows);
+//   * the encoded matrix is the same full-graph call, made once; a
+//     batch's query rows enter the same layers as one canonical CSR block
+//     (FromDense's nonzero rule, the form of Graph::feature_csr()), and
+//     the encoder's CSR and dense products give the same bits for a row
+//     whatever the batch's other rows hold;
 //   * the per-node hop replays CsrMatrix::SpmmAxpby's per-row arithmetic
 //     (column-ascending accumulate, then a·sum + b·x): default-adjacency
 //     queries read the cached transition row verbatim, private-edge and
@@ -81,40 +83,13 @@ struct ServeRequest {
   /// new node's edge list into the serving population (default: isolated).
   bool has_edges = false;
   std::vector<int> edges;
-  /// When true, this is an inductive query: the request carries the raw
+  /// When true, this is an inductive query: `features` holds the raw
   /// feature vector of a node *not in the serving graph* (length = the
   /// graph's feature dim) and `node` must stay -1. Served as if the graph
-  /// had been augmented with this node at index n. The payload lives in
-  /// exactly one of two places:
-  ///   * `features` — an owning f64 vector (JSON transport, in-process
-  ///     callers); or
-  ///   * `feature_view` — a non-owning f32 span into a binary transport
-  ///     frame buffer (serve/frame.h), valid only while `frame_pin` holds
-  ///     the buffer alive. The serve path widens these f32 values straight
-  ///     into the gathered GEMM panel — no intermediate copy.
+  /// had been augmented with this node at index n. Both transports decode
+  /// into this one vector (the binary one widens its f32 values exactly).
   bool has_features = false;
   std::vector<double> features;
-  /// Non-owning view of a little-endian f32 feature payload inside a
-  /// binary frame buffer. `data` non-null means the view is authoritative
-  /// and `features` stays empty.
-  struct FeatureView {
-    const float* data = nullptr;
-    std::uint32_t count = 0;
-  };
-  FeatureView feature_view;
-  /// Keeps `feature_view`'s frame buffer alive for the request's whole
-  /// lifetime. The request is moved — connection loop, batcher queue,
-  /// batch execution — so the pin travels with it and releases only when
-  /// the batch's futures have been resolved and the PendingQuery destroyed
-  /// (batch-lifetime safety: the buffer outlives the GEMM gather).
-  std::shared_ptr<const void> frame_pin;
-
-  /// Feature count regardless of representation (view or owning vector).
-  std::size_t feature_count() const {
-    return feature_view.data != nullptr
-               ? static_cast<std::size_t>(feature_view.count)
-               : features.size();
-  }
   /// Optional deadline, microseconds from submission; 0 = none. A query
   /// still queued when its deadline passes is dropped by its batch
   /// immediately before the GEMM and fails with a structured
@@ -211,7 +186,8 @@ class InferenceSession {
 
   /// Coalesced batch: gathers every query's propagated feature row into one
   /// block and runs a single B-row GEMM against Θ (feature-carrying rows
-  /// share one coalesced encoder forward first). Row i answers batch[i].
+  /// first share one encoder forward over a CSR block built straight from
+  /// their `features`). Row i answers batch[i].
   /// This is the micro-batcher's kernel; row results are independent of the
   /// batch composition (see header comment), which is what makes batching
   /// transparent to clients.

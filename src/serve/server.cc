@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "dp/budget_ledger.h"
 #include "linalg/ops.h"
 #include "obs/build_info.h"
@@ -207,15 +208,6 @@ std::string InferenceServer::BudgetJson() const {
   std::ostringstream out;
   out.imbue(std::locale::classic());  // wire bytes are locale-invariant
   out.precision(17);
-  const auto escape = [](const std::string& s) {
-    std::string escaped;
-    escaped.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') escaped.push_back('\\');
-      escaped.push_back(c);
-    }
-    return escaped;
-  };
   out << "{\"budget\": [";
   for (int m = 0; m < router_.size(); ++m) {
     const BudgetLedger::BudgetTotals totals = ledger_->Totals(
@@ -230,7 +222,7 @@ std::string InferenceServer::BudgetJson() const {
     }
     out << "}";
   }
-  out << "], \"ledger\": \"" << escape(ledger_->path())
+  out << "], \"ledger\": \"" << EscapeJson(ledger_->path())
       << "\", \"persistent\": " << (ledger_->persistent() ? "true" : "false")
       << "}";
   return out.str();
@@ -521,34 +513,8 @@ class LineCodec final : public Codec {
   std::size_t start_ = 0;  ///< first byte not yet decoded
 };
 
-/// Per-connection pool of frame payload buffers. Zero-copy pins
-/// (ServeRequest::frame_pin) keep a buffer's use_count above 1 for as long
-/// as any in-flight query views it; Take() reuses only buffers whose every
-/// pin has been released, so a recycled buffer can never be overwritten
-/// under a pending batch. Bounded: a pipelining client cycles through at
-/// most kPoolSize resident buffers before new frames allocate afresh.
-class FramePool {
- public:
-  std::shared_ptr<std::vector<char>> Take(std::size_t size) {
-    for (auto& buffer : pool_) {
-      if (buffer.use_count() == 1) {
-        buffer->resize(size);
-        return buffer;
-      }
-    }
-    auto buffer = std::make_shared<std::vector<char>>(size);
-    if (pool_.size() < kPoolSize) pool_.push_back(buffer);
-    return buffer;
-  }
-
- private:
-  static constexpr std::size_t kPoolSize = 8;
-  std::vector<std::shared_ptr<std::vector<char>>> pool_;
-};
-
-/// Binary frames (serve/frame.h). Zero-copy: each payload lands in a
-/// pooled buffer with one recv, a request's feature view points into it,
-/// and the request pins the buffer until its batch resolves.
+/// Binary frames (serve/frame.h): each payload lands in the connection's
+/// one reused buffer with one recv and is decoded into an owning request.
 class FrameCodec final : public Codec {
  public:
   explicit FrameCodec(Socket* socket) : socket_(socket) {}
@@ -575,7 +541,7 @@ class FrameCodec final : public Codec {
   }
 
   /// Reads and decodes one whole frame: a header recv, then one payload
-  /// recv into a pooled buffer.
+  /// recv into the reused buffer.
   bool Fill() override {
     char header[kFrameHeaderBytes];
     if (!socket_->RecvAll(header, sizeof(header))) return false;
@@ -589,8 +555,8 @@ class FrameCodec final : public Codec {
       message.kind = Inbound::Kind::kFatal;
       return true;
     }
-    const std::shared_ptr<std::vector<char>> buffer = pool_.Take(length);
-    if (length > 0 && !socket_->RecvAll(buffer->data(), length)) {
+    payload_.resize(length);
+    if (length > 0 && !socket_->RecvAll(payload_.data(), length)) {
       frame_.reset();
       return false;
     }
@@ -599,17 +565,13 @@ class FrameCodec final : public Codec {
     // keep serving.
     message.kind = Inbound::Kind::kReject;
     if (type == FrameType::kRequest) {
-      if (ParseRequestPayload(buffer->data(), length, &message.request,
+      if (ParseRequestPayload(payload_.data(), length, &message.request,
                               &message.error)) {
-        // The feature view aliases the buffer; the pin keeps Take() off it
-        // until the query's batch has gathered those bytes.
-        message.request.frame_pin =
-            std::shared_ptr<const void>(buffer, buffer->data());
         message.kind = Inbound::Kind::kQuery;
       }
     } else if (type == FrameType::kAdmin) {
       AdminVerb verb{};
-      if (ParseAdminPayload(buffer->data(), length, &verb,
+      if (ParseAdminPayload(payload_.data(), length, &verb,
                             &message.request.model, &message.request.path,
                             &message.error)) {
         message.command = Command(verb);
@@ -656,7 +618,7 @@ class FrameCodec final : public Codec {
   }
 
   Socket* socket_;
-  FramePool pool_;
+  std::vector<char> payload_;  ///< the last frame's payload bytes
   std::optional<Inbound> frame_;  ///< read by Fill, not yet decoded
 };
 

@@ -30,8 +30,8 @@
 // Two transports share the port, negotiated from the connection's first
 // byte: newline-JSON (serve/wire.h — the admin/debug transport) and
 // length-prefixed binary frames (serve/frame.h — the fast path, whose f32
-// feature payloads are gathered into the GEMM panel without a copy or a
-// text round-trip). Each is a codec under one connection state machine, so
+// feature payloads decode with fixed-width loads instead of a text
+// round-trip). Each is a codec under one connection state machine, so
 // both answer identical bits in the same order. It exists to demonstrate
 // and smoke-test the deployment story end to end, not to be a production
 // RPC stack.

@@ -42,11 +42,22 @@ class LineScanner {
     return pos_ >= line_.size();
   }
 
-  bool ReadString(std::string* out) {
+  /// A quoted string. The escapes the writers emit (EscapeJson), \" and
+  /// \\, decode; any other escape fails with *bad_escape naming it.
+  bool ReadString(std::string* out, std::string* bad_escape) {
     if (!Consume('"')) return false;
     out->clear();
     while (pos_ < line_.size() && line_[pos_] != '"') {
-      out->push_back(line_[pos_++]);
+      char c = line_[pos_++];
+      if (c == '\\' && pos_ < line_.size()) {
+        c = line_[pos_++];
+        if (c != '"' && c != '\\') {
+          *bad_escape = std::string("unsupported escape '\\") + c +
+                        "' in a string (only \\\" and \\\\ are decoded)";
+          return false;
+        }
+      }
+      out->push_back(c);
     }
     return Consume('"');
   }
@@ -105,22 +116,6 @@ class LineScanner {
   std::size_t pos_ = 0;
 };
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n' || c == '\r' || c == '\t') {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 bool ParseRequestBody(const std::string& line, WireCommand* command,
                       ServeRequest* request, std::string* error) {
   LineScanner scan(line);
@@ -128,15 +123,20 @@ bool ParseRequestBody(const std::string& line, WireCommand* command,
     *error = "request must be a {...} object";
     return false;
   }
+  // A string value: an unsupported escape names itself, any other defect
+  // reports `what`.
+  const auto read_string = [&](std::string* out, const char* what) {
+    std::string bad_escape;
+    if (scan.ReadString(out, &bad_escape)) return true;
+    *error = bad_escape.empty() ? what : bad_escape;
+    return false;
+  };
   bool have_node = false;
   std::string cmd;
   if (!scan.Peek('}')) {
     do {
       std::string key;
-      if (!scan.ReadString(&key)) {
-        *error = "expected a quoted key";
-        return false;
-      }
+      if (!read_string(&key, "expected a quoted key")) return false;
       if (!scan.Consume(':')) {
         *error = "expected ':' after key '" + key + "'";
         return false;
@@ -216,8 +216,8 @@ bool ParseRequestBody(const std::string& line, WireCommand* command,
           return false;
         }
       } else if (key == "model") {
-        if (!scan.ReadString(&request->model)) {
-          *error = "key 'model' wants a quoted string";
+        if (!read_string(&request->model,
+                         "key 'model' wants a quoted string")) {
           return false;
         }
       } else if (key == "deadline_us") {
@@ -228,13 +228,11 @@ bool ParseRequestBody(const std::string& line, WireCommand* command,
         }
         request->deadline_us = deadline;
       } else if (key == "path") {
-        if (!scan.ReadString(&request->path)) {
-          *error = "key 'path' wants a quoted string";
+        if (!read_string(&request->path, "key 'path' wants a quoted string")) {
           return false;
         }
       } else if (key == "cmd") {
-        if (!scan.ReadString(&cmd)) {
-          *error = "key 'cmd' wants a quoted string";
+        if (!read_string(&cmd, "key 'cmd' wants a quoted string")) {
           return false;
         }
       } else {

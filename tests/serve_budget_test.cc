@@ -211,5 +211,22 @@ TEST(ServeBudgetTest, ConcurrentPublishesAndScrapesAccountExactly) {
   std::remove(path.c_str());
 }
 
+TEST(ServeBudgetTest, BudgetReplyStaysOneLineForAnyLedgerPath) {
+  // The budget reply is one newline-JSON line; a ledger path holding a
+  // newline (a legal file name) must not split it, and quotes and
+  // backslashes in it must come out escaped.
+  const std::string path = LedgerPath("new\nline\"q\\");
+  const Graph graph = serve_test::TestGraph(9);
+  const GconArtifact artifact = SyntheticArtifact(graph, {2}, 8, 5);
+  {
+    InferenceServer server = MakeServer("nl", artifact, graph, path);
+    const std::string budget = server.BudgetJson();
+    EXPECT_EQ(budget.find('\n'), std::string::npos) << budget;
+    EXPECT_NE(budget.find("_new line\\\"q\\\\.ledger\""), std::string::npos)
+        << budget;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace gcon

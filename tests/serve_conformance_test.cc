@@ -32,6 +32,7 @@
 #include "graph/datasets.h"
 #include "linalg/ops.h"
 #include "nn/mlp.h"
+#include "common/string_util.h"
 #include "rng/rng.h"
 #include "serve_test_util.h"
 #include "serve/fault_injection.h"
@@ -714,6 +715,46 @@ TEST(WireParseLock, RangePolicyMatchesStrtodEra) {
   // Half-parses still fail whole.
   EXPECT_FALSE(ParseFeatures("{\"id\": 1, \"features\": [1e]}", &request));
   EXPECT_FALSE(ParseFeatures("{\"id\": 1, \"features\": [.]}", &request));
+}
+
+TEST(WireParseLock, StringEscapesDecodeWhatWritersEscape) {
+  // `gcon_cli retrain` writes its publish line through EscapeJson, so the
+  // parser must undo exactly that: \\ is one backslash, \" one quote.
+  WireCommand command;
+  ServeRequest request;
+  std::string error;
+  ASSERT_TRUE(ParseWireRequest(
+      R"({"cmd": "publish", "path": "/tmp/a\\b.model"})", &command, &request,
+      &error))
+      << error;
+  EXPECT_EQ(command, WireCommand::kPublish);
+  EXPECT_EQ(request.path, "/tmp/a\\b.model");
+  ASSERT_TRUE(ParseWireRequest(
+      R"({"cmd": "publish", "path": "/tmp/a\"b.model"})", &command, &request,
+      &error))
+      << error;
+  EXPECT_EQ(request.path, "/tmp/a\"b.model");
+
+  // Whatever EscapeJson writes parses back to the string it escaped.
+  const std::string model = "m\"x\\";
+  const std::string path = "/d\\ir/\"q\".model\\";
+  ASSERT_TRUE(ParseWireRequest("{\"cmd\": \"publish\", \"model\": \"" +
+                                   EscapeJson(model) + "\", \"path\": \"" +
+                                   EscapeJson(path) + "\"}",
+                               &command, &request, &error))
+      << error;
+  EXPECT_EQ(request.model, model);
+  EXPECT_EQ(request.path, path);
+
+  // Any other escape is refused by name.
+  EXPECT_FALSE(ParseWireRequest(R"({"cmd": "publish", "path": "/tmp/a\nb"})",
+                                &command, &request, &error));
+  EXPECT_EQ(error, R"(unsupported escape '\n' in a string )"
+                   R"((only \" and \\ are decoded))");
+  EXPECT_FALSE(
+      ParseWireRequest(R"({"id": 1, "mo\u0064el": "x"})", &command, &request,
+                       &error));
+  EXPECT_NE(error.find("'\\u'"), std::string::npos) << error;
 }
 
 /// Flips the global C++ locale (which also flips the C locale glibc's

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <locale>
 #include <optional>
 #include <sstream>
@@ -319,16 +320,13 @@ TEST(FrameFormatLock, RequestFrameRoundTrips) {
   request.features = {0.25, -1.5};
   const std::string frame = EncodeRequestFrame(request);
   ASSERT_GE(frame.size(), kFrameHeaderBytes);
-  // Parse from a 4-aligned payload buffer, as the server's pooled recv
-  // path guarantees — the zero-copy feature view is only dereferenceable
-  // under that contract (frame.data() + 5 would misalign the floats).
-  const std::size_t payload_len = frame.size() - kFrameHeaderBytes;
-  std::vector<std::uint32_t> aligned(payload_len / 4 + 1, 0);
-  std::memcpy(aligned.data(), frame.data() + kFrameHeaderBytes, payload_len);
-  const char* payload_bytes = reinterpret_cast<const char*>(aligned.data());
+  // Parse straight from the frame: the payload starts 5 bytes in, so the
+  // f32 features sit at unaligned addresses, and the decoder must not care.
   ServeRequest decoded;
   std::string error;
-  ASSERT_TRUE(ParseRequestPayload(payload_bytes, payload_len, &decoded, &error))
+  ASSERT_TRUE(ParseRequestPayload(frame.data() + kFrameHeaderBytes,
+                                  frame.size() - kFrameHeaderBytes, &decoded,
+                                  &error))
       << error;
   EXPECT_EQ(decoded.id, 42);
   EXPECT_EQ(decoded.deadline_us, 1000);
@@ -337,12 +335,8 @@ TEST(FrameFormatLock, RequestFrameRoundTrips) {
   EXPECT_TRUE(decoded.has_edges);
   EXPECT_EQ(decoded.edges, (std::vector<int>{1, 5, -3}));
   ASSERT_TRUE(decoded.has_features);
-  // Zero-copy: the decoded request views the frame bytes, owns nothing.
-  ASSERT_NE(decoded.feature_view.data, nullptr);
-  EXPECT_TRUE(decoded.features.empty());
-  ASSERT_EQ(decoded.feature_count(), 2u);
-  EXPECT_EQ(decoded.feature_view.data[0], 0.25f);
-  EXPECT_EQ(decoded.feature_view.data[1], -1.5f);
+  // The decoded request owns its features, widened exactly from f32.
+  EXPECT_EQ(decoded.features, (std::vector<double>{0.25, -1.5}));
 }
 
 TEST(FrameFormatLock, MalformedPayloadsRejectWithIdRecovery) {
@@ -478,9 +472,9 @@ TEST_F(ServeFrameConformanceTest, RoutedAndPrivateEdgeQueriesMatchGoldens) {
 
 TEST_F(ServeFrameConformanceTest, InductiveQueryMatchesOfflineAugmentedBits) {
   // The binary transport's inductive contract end to end: f32 features on
-  // the wire, zero-copy view into the frame buffer, widened into the
-  // gathered GEMM panel — and the answer is memcmp-identical to offline
-  // Infer on the graph augmented with the (widened) query node.
+  // the wire, widened exactly into the request's vector and encoded from a
+  // CSR block — and the answer is memcmp-identical to offline Infer on the
+  // graph augmented with the (widened) query node.
   const std::vector<double> features = WidenedFeatures(4);
   const std::vector<int> edges = {0, 7, 11};
   const Graph augmented = AugmentGraph(graph_, features, edges);
@@ -698,6 +692,31 @@ TEST_F(ServeFrameConformanceTest,
   client.Send(EncodeRequestFrame(retry));
   EXPECT_EQ(client.ReadFrameBytes(),
             GoldenResponseFrame(71, 1, offline_default_, 1));
+}
+
+TEST_F(ServeFrameConformanceTest, NonFiniteFeatureGetsCodedErrorAndServes) {
+  FrameClient client(port());
+  ASSERT_EQ(client.Hello(), EncodeHello(kFrameVersion));
+  // NaN and inf survive the f32 narrowing, so the frame carries them; the
+  // server refuses the query as JSON refuses `nan` or `1e999`, with a coded
+  // error that names the first bad index and echoes the id.
+  ServeRequest request;
+  request.id = 72;
+  request.has_features = true;
+  request.features = WidenedFeatures(4);
+  request.features[1] = std::numeric_limits<double>::quiet_NaN();
+  request.features[2] = std::numeric_limits<double>::infinity();
+  client.Send(EncodeRequestFrame(request));
+  EXPECT_EQ(client.ReadFrameBytes(),
+            EncodeErrorFrame(72, WireErrorCode(ServeErrorCode::kMalformedFrame),
+                             "features[1] is not a finite number"));
+  // Same socket, next frame serves.
+  ServeRequest retry;
+  retry.id = 73;
+  retry.node = 1;
+  client.Send(EncodeRequestFrame(retry));
+  EXPECT_EQ(client.ReadFrameBytes(),
+            GoldenResponseFrame(73, 1, offline_default_, 1));
 }
 
 TEST_F(ServeFrameConformanceTest, OversizedFrameIsRejectedAndDisconnected) {

@@ -6,20 +6,33 @@
 // artifact get the same path; models that don't must reject the query.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <locale>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model_io.h"
 #include "graph/datasets.h"
+#include "linalg/ops.h"
 #include "model/adapters.h"
 #include "nn/mlp.h"
 #include "propagation/cache.h"
 #include "rng/rng.h"
 #include "serve_test_util.h"
+#include "serve/frame.h"
 #include "serve/inference_session.h"
 #include "serve/server.h"
+#include "serve/wire.h"
 
 namespace gcon {
 namespace {
@@ -228,6 +241,185 @@ TEST(ServeInductive, ServerAnswersFeatureQueriesBitwise) {
   EXPECT_TRUE(BitwiseEqual(
       offline.RowPtr(static_cast<std::size_t>(graph.num_nodes())),
       response.logits));
+}
+
+/// Loopback client for either transport: raw sends, exact-length reads.
+class LoopbackClient {
+ public:
+  explicit LoopbackClient(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~LoopbackClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool connected() const { return connected_; }
+
+  bool Send(const std::string& data) {
+    for (std::size_t sent = 0; sent < data.size();) {
+      const ssize_t n =
+          ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// Exactly `len` bytes ("" on EOF first).
+  std::string Read(std::size_t len) {
+    std::string out(len, '\0');
+    for (std::size_t got = 0; got < len;) {
+      const ssize_t n = ::recv(fd_, out.data() + got, len - got, 0);
+      if (n <= 0) return "";
+      got += static_cast<std::size_t>(n);
+    }
+    return out;
+  }
+
+  /// One whole frame, header included.
+  std::string ReadFrame() {
+    std::string header = Read(kFrameHeaderBytes);
+    if (header.empty()) return "";
+    std::uint32_t len = 0;
+    for (std::size_t i = 4; i-- > 0;) {
+      len = (len << 8) | static_cast<unsigned char>(header[i]);
+    }
+    return header + Read(len);
+  }
+
+  /// One line, without its newline.
+  std::string ReadLine() {
+    std::string line;
+    for (;;) {
+      const std::string byte = Read(1);
+      if (byte.empty() || byte[0] == '\n') return line;
+      line += byte;
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+/// One inductive request as a JSON wire line, features at 17 digits so the
+/// server parses back the exact doubles.
+std::string JsonLine(const ServeRequest& request) {
+  std::ostringstream out;
+  out.imbue(std::locale::classic());
+  out.precision(17);
+  out << "{\"id\": " << request.id << ", \"features\": [";
+  for (std::size_t j = 0; j < request.features.size(); ++j) {
+    out << (j == 0 ? "" : ", ") << request.features[j];
+  }
+  out << "], \"edges\": [";
+  for (std::size_t j = 0; j < request.edges.size(); ++j) {
+    out << (j == 0 ? "" : ", ") << request.edges[j];
+  }
+  out << "]}\n";
+  return out.str();
+}
+
+TEST(ServeInductive, CsrBlockMatchesOfflineOverBothTransports) {
+  // One batch whose inductive rows span the encoder's input forms: an
+  // all-zero row (no stored entry), a row far above the 10% sparse cutoff,
+  // and a bag-of-words row at cora_ml's density. The session builds them
+  // as one CSR block; each answer must equal row n of offline Infer on the
+  // graph augmented with that query alone. JSON carries the doubles
+  // exactly, binary frames carry them rounded to f32.
+  DatasetSpec spec = TinySpec();
+  spec.num_features = 600;
+  spec.feature_density = 0.012;
+  Rng rng(29);
+  const Graph graph = GenerateDataset(spec, &rng);
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 29);
+  const std::size_t dim = static_cast<std::size_t>(graph.feature_dim());
+
+  std::vector<ServeRequest> queries(3);
+  queries[0].features.assign(dim, 0.0);
+  queries[1].features.assign(dim, 0.0);
+  queries[2].features.assign(dim, 0.0);
+  for (std::size_t j = 0; j < dim; ++j) {
+    if (rng.Bernoulli(0.5)) queries[1].features[j] = rng.Uniform(-1.0, 1.0);
+    if (rng.Bernoulli(0.012)) queries[2].features[j] = 1.0;
+  }
+  const std::vector<std::vector<int>> edges = {{1, 4}, {}, {0, 7, 11}};
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    queries[q].id = static_cast<std::int64_t>(q) + 1;
+    queries[q].has_features = true;
+    queries[q].has_edges = true;
+    queries[q].edges = edges[q];
+  }
+
+  // The golden answer for `request` as served over either transport.
+  const auto golden = [&](const ServeRequest& request) {
+    const Matrix offline = artifact.Infer(
+        AugmentGraph(graph, request.features, request.edges));
+    const std::size_t row = static_cast<std::size_t>(graph.num_nodes());
+    ServeResponse response;
+    response.id = request.id;
+    response.label = static_cast<int>(RowArgMax(offline, row));
+    response.logits = offline.RowCopy(row);
+    return response;
+  };
+
+  // In process, the same batch: every row answers its own offline row.
+  const InferenceSession session(artifact, graph);
+  const Matrix batch =
+      session.QueryBatch({&queries[0], &queries[1], &queries[2]});
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_TRUE(BitwiseEqual(batch.RowPtr(q), golden(queries[q]).logits))
+        << "query " << q;
+  }
+
+  ServeOptions options;
+  options.max_batch = 8;
+  InferenceServer server(InferenceSession(artifact, graph), options);
+  std::atomic<bool> shutdown{false};
+  std::atomic<int> port{0};
+  std::thread listener(
+      [&] { RunTcpServer(&server, /*port=*/0, &shutdown, &port); });
+  while (port.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  {  // JSON: the three lines in one send, so they pipeline into one batch.
+    LoopbackClient client(port.load());
+    ASSERT_TRUE(client.connected());
+    std::string burst;
+    for (const ServeRequest& request : queries) burst += JsonLine(request);
+    ASSERT_TRUE(client.Send(burst));
+    for (const ServeRequest& request : queries) {
+      EXPECT_EQ(client.ReadLine(), FormatWireResponse(golden(request)))
+          << "json query " << request.id;
+    }
+  }
+  {  // Binary: the offline side sees the f32-rounded features.
+    LoopbackClient client(port.load());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Send(EncodeHello(kFrameVersion)));
+    ASSERT_EQ(client.Read(kFrameHelloBytes), EncodeHello(kFrameVersion));
+    std::vector<ServeRequest> rounded = queries;
+    std::string burst;
+    for (ServeRequest& request : rounded) {
+      for (double& f : request.features) {
+        f = static_cast<double>(static_cast<float>(f));
+      }
+      burst += EncodeRequestFrame(request);
+    }
+    ASSERT_TRUE(client.Send(burst));
+    for (const ServeRequest& request : rounded) {
+      EXPECT_EQ(client.ReadFrame(), EncodeResponseFrame(golden(request)))
+          << "binary query " << request.id;
+    }
+  }
+  shutdown.store(true);
+  listener.join();
 }
 
 // --- Registry models -------------------------------------------------------

@@ -15,8 +15,8 @@
 #
 # The CI gates assert speedup >= 2x, routing_cost >= 0.9 (multi-model
 # routing may cost < 10% QPS vs single-model), degradation_ratio >= 0.9,
-# and binary_vs_json_qps >= 2.0 (the zero-copy binary frame transport must
-# at least double feature-carrying throughput over the text codec).
+# and binary_vs_json_qps >= 2.0 (the binary frame transport must at least
+# double feature-carrying throughput over the text codec).
 #
 # Usage: bench_serve_json.sh <path-to-bench_serve> [output.json]
 # GCON_SERVE_BENCH_QUERIES overrides the per-mode query count (default

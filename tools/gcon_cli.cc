@@ -42,8 +42,8 @@
 //            connection's first byte: newline-delimited JSON (serve/
 //            wire.h) and, when a connection opens with 0xC0, the
 //            length-prefixed binary frame protocol (serve/frame.h) whose
-//            f32 feature payloads are read zero-copy into the GEMM
-//            panel — the fast path for inductive queries.
+//            f32 feature payloads decode with fixed-width loads instead
+//            of a text parse — the fast path for inductive queries.
 //            --model is repeatable: "name=path" serves the artifact under
 //            that name (requests route via the wire "model" key; the
 //            first-listed model is the default), a bare path is shorthand
@@ -487,17 +487,6 @@ bool WireRoundTrip(int port, const std::string& line, std::string* response,
   }
 }
 
-/// JSON string escaping for the publish request (paths may hold anything).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 int CmdRetrain(const gcon::Flags& flags) {
   // The train→publish→serve retrain loop: exactly CmdTrain's training and
   // artifact write, then a {"cmd": "publish"} over the live wire so the
@@ -514,8 +503,8 @@ int CmdRetrain(const gcon::Flags& flags) {
   if (trained != 0) return trained;
 
   const std::string request = "{\"cmd\": \"publish\", \"model\": \"" +
-                              JsonEscape(target) + "\", \"path\": \"" +
-                              JsonEscape(model_path) + "\"}";
+                              gcon::EscapeJson(target) + "\", \"path\": \"" +
+                              gcon::EscapeJson(model_path) + "\"}";
   std::string response;
   std::string error;
   if (!WireRoundTrip(port, request, &response, &error)) {

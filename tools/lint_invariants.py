@@ -32,16 +32,6 @@ violation before it becomes a silent race or a broken memcmp proof:
                       and carries a written reason:
                       `NOLINT(check-name): why`. A bare NOLINT is a
                       permanent unexplained hole in the tidy gate.
-  serve-zero-copy     A ServeRequest::feature_view payload is never
-                      deep-copied in production code (no std::copy /
-                      assign / memcpy / vector construction from the
-                      view). The binary transport's contract
-                      (serve/frame.h) is that f32 features are widened IN
-                      PLACE from the pinned frame buffer into the packed
-                      GEMM panel; a copy silently reintroduces the
-                      per-query allocation the zero-copy path deleted.
-                      Waiverable like every rule, for the day a copy is
-                      the right call.
   no-hot-path-logging GCON_LOG is forbidden in the serving hot loop
                       (src/serve/batcher.cc) and the GEMM kernels
                       (src/linalg/) — a log line there serializes every
@@ -146,19 +136,6 @@ RULES = [
         "scan": ["src", "bench", "tools", "examples", "tests"],
         "allow": [],
         "raw": True,  # NOLINT markers live inside comments
-    },
-    {
-        "id": "serve-zero-copy",
-        "summary": "feature_view payload deep-copied in production code "
-                   "(the binary serve path widens f32 features in place "
-                   "into the GEMM panel — see serve/frame.h)",
-        "pattern": re.compile(
-            r"(?:std::copy|std::memcpy|memcpy|\.assign|\.insert"
-            r"|push_back|emplace_back"
-            r"|std::vector<[^>]*>\s*[A-Za-z_]\w*\s*[({])"
-            r"[^;]*feature_view"),
-        "scan": ["src"],
-        "allow": [],
     },
     {
         "id": "no-hot-path-logging",
