@@ -35,29 +35,6 @@ Matrix BuildTargets(const std::vector<int>& nodes,
   return y;
 }
 
-// Eq. (16): concatenated one-hop blocks (no 1/s factor — argmax is
-// scale-invariant and the paper's Eq. (16) omits it).
-Matrix InferenceFeatures(const CsrMatrix& transition, const Matrix& encoded,
-                         const std::vector<int>& steps, double alpha_inf) {
-  Matrix hop;  // (1-α_I) Ã X̄ + α_I X̄, computed lazily
-  bool have_hop = false;
-  std::vector<Matrix> blocks;
-  blocks.reserve(steps.size());
-  for (int m : steps) {
-    if (m == 0) {
-      blocks.push_back(encoded);
-      continue;
-    }
-    if (!have_hop) {
-      transition.SpmmAxpby(1.0 - alpha_inf, encoded, alpha_inf, encoded,
-                           &hop);
-      have_hop = true;
-    }
-    blocks.push_back(hop);
-  }
-  return ConcatCols(blocks);
-}
-
 }  // namespace
 
 GconPrepared PrepareGcon(const Graph& graph, const Split& split,
@@ -182,41 +159,49 @@ GconModel TrainGcon(const Graph& graph, const Split& split,
                        config.seed + 0x5eed);
 }
 
+Matrix EncodeForInference(const Mlp& encoder, const CsrMatrix& features) {
+  Matrix encoded =
+      encoder.HiddenRepresentation(features, encoder.num_layers() - 1);
+  RowL2NormalizeInPlace(&encoded);
+  return encoded;
+}
+
+double InferenceAlpha(double alpha, double alpha_inference) {
+  return alpha_inference >= 0.0 ? alpha_inference : alpha;
+}
+
+Matrix PrivateLogits(const CsrMatrix& transition, const Matrix& encoded,
+                     const std::vector<int>& steps, double alpha_inf,
+                     const Matrix& theta) {
+  Matrix hop;  // computed on the first m > 0
+  std::vector<Matrix> blocks;
+  blocks.reserve(steps.size());
+  for (int m : steps) {
+    if (m != 0 && hop.empty()) {
+      transition.SpmmAxpby(1.0 - alpha_inf, encoded, alpha_inf, encoded,
+                           &hop);
+    }
+    blocks.push_back(m == 0 ? encoded : hop);
+  }
+  return MatMul(ConcatCols(blocks), theta);
+}
+
 Matrix PrivateInference(const GconPrepared& prepared, const GconModel& model) {
   const GconConfig& config = prepared.config;
-  const double alpha_inf =
-      config.alpha_inference >= 0.0 ? config.alpha_inference : config.alpha;
-  const Matrix features = InferenceFeatures(prepared.transition,
-                                            prepared.encoded, config.steps,
-                                            alpha_inf);
-  return MatMul(features, model.theta);
+  return PrivateLogits(prepared.transition, prepared.encoded, config.steps,
+                       InferenceAlpha(config.alpha, config.alpha_inference),
+                       model.theta);
 }
 
 Matrix PublicInference(const GconPrepared& prepared, const GconModel& model) {
   return MatMul(prepared.z, model.theta);
 }
 
-Matrix PrivateInferenceOnGraph(const GconPrepared& prepared,
-                               const GconModel& model, const Graph& graph) {
-  const GconConfig& config = prepared.config;
-  const double alpha_inf =
-      config.alpha_inference >= 0.0 ? config.alpha_inference : config.alpha;
-  Matrix encoded = prepared.encoder_mlp.HiddenRepresentation(
-      graph.feature_csr(), prepared.encoder_mlp.num_layers() - 1);
-  RowL2NormalizeInPlace(&encoded);
-  const PropagationCache::CachedCsr transition =
-      PropagationCache::Global().Transition(graph);
-  const Matrix features =
-      InferenceFeatures(*transition.csr, encoded, config.steps, alpha_inf);
-  return MatMul(features, model.theta);
-}
-
 Matrix PublicInferenceOnGraph(const GconPrepared& prepared,
                               const GconModel& model, const Graph& graph) {
   const GconConfig& config = prepared.config;
-  Matrix encoded = prepared.encoder_mlp.HiddenRepresentation(
-      graph.feature_csr(), prepared.encoder_mlp.num_layers() - 1);
-  RowL2NormalizeInPlace(&encoded);
+  const Matrix encoded =
+      EncodeForInference(prepared.encoder_mlp, graph.feature_csr());
   PropagationCache& cache = PropagationCache::Global();
   const PropagationCache::CachedCsr transition = cache.Transition(graph);
   const Matrix z = cache.ConcatPropagate(*transition.csr, transition.key,

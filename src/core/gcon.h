@@ -105,17 +105,29 @@ GconModel TrainPrepared(const GconPrepared& prepared, double epsilon,
 GconModel TrainGcon(const Graph& graph, const Split& split,
                     const GconConfig& config);
 
+/// The edge-free encode step every inference path shares: the encoder's
+/// penultimate layer on `features`, then row L2 normalization (Algorithm 1,
+/// line 2). A row's bits do not depend on the other rows.
+Matrix EncodeForInference(const Mlp& encoder, const CsrMatrix& features);
+
+/// α_I of Eq. (16): `alpha_inference` when set (>= 0), else `alpha`.
+double InferenceAlpha(double alpha, double alpha_inference);
+
+/// The one Eq. (16) implementation: the concatenated blocks
+/// (R̂_{m_1}X̄ ⊕ ... ⊕ R̂_{m_s}X̄), where R̂_0 = I and every m > 0 shares the
+/// one-hop R̂ = (1-α_I)Ã + α_I·I, computed once with SpmmAxpby, times Θ.
+/// There is no 1/s factor: argmax is scale-invariant and the paper's
+/// Eq. (16) omits it.
+Matrix PrivateLogits(const CsrMatrix& transition, const Matrix& encoded,
+                     const std::vector<int>& steps, double alpha_inf,
+                     const Matrix& theta);
+
 /// Eq. (16) logits for every node of the training graph (private path).
+/// On another graph, use MakeArtifact(...).Infer(graph) (core/model_io.h).
 Matrix PrivateInference(const GconPrepared& prepared, const GconModel& model);
 
 /// Ŷ = ZΘ logits for every node (public test-graph path).
 Matrix PublicInference(const GconPrepared& prepared, const GconModel& model);
-
-/// Private-path logits on a *different* graph: encodes `graph` with the
-/// trained encoder, then applies Eq. (16) (inference scenario (ii) with
-/// private edges).
-Matrix PrivateInferenceOnGraph(const GconPrepared& prepared,
-                               const GconModel& model, const Graph& graph);
 
 /// Public-path logits on a *different* graph whose edges are public:
 /// full Eq. (11) propagation on that graph, then Ŷ = ZΘ (Algorithm 4's

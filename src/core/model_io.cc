@@ -7,9 +7,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "linalg/ops.h"
 #include "nn/mlp_io.h"
-#include "propagation/appr.h"
 #include "propagation/cache.h"
 
 namespace gcon {
@@ -27,30 +25,11 @@ namespace {
 }  // namespace
 
 Matrix GconArtifact::Infer(const Graph& graph) const {
-  Matrix encoded = encoder.HiddenRepresentation(graph.feature_csr(),
-                                                encoder.num_layers() - 1);
-  RowL2NormalizeInPlace(&encoded);
   const PropagationCache::CachedCsr transition =
       PropagationCache::Global().Transition(graph);
-  const double alpha_inf = alpha_inference >= 0.0 ? alpha_inference : alpha;
-
-  Matrix hop;
-  bool have_hop = false;
-  std::vector<Matrix> blocks;
-  blocks.reserve(steps.size());
-  for (int m : steps) {
-    if (m == 0) {
-      blocks.push_back(encoded);
-      continue;
-    }
-    if (!have_hop) {
-      transition.csr->SpmmAxpby(1.0 - alpha_inf, encoded, alpha_inf, encoded,
-                                &hop);
-      have_hop = true;
-    }
-    blocks.push_back(hop);
-  }
-  return MatMul(ConcatCols(blocks), theta);
+  return PrivateLogits(*transition.csr,
+                       EncodeForInference(encoder, graph.feature_csr()),
+                       steps, InferenceAlpha(alpha, alpha_inference), theta);
 }
 
 void SaveModel(const GconArtifact& artifact, const std::string& path) {

@@ -34,7 +34,8 @@ struct GconArtifact {
   PrivacyParams params;     ///< Theorem 1 outputs actually used
 
   /// Eq. (16) logits on `graph` (private edges; only each node's own edges
-  /// are read). Mirrors PrivateInferenceOnGraph.
+  /// are read): EncodeForInference, then PrivateLogits over the cached
+  /// transition of `graph`, as PrivateInference does on the training graph.
   Matrix Infer(const Graph& graph) const;
 };
 

@@ -1,13 +1,13 @@
 // Lock-free latency histogram: the serving tier's per-model latency and the
 // backing store of every obs::Histogram.
 //
-// Record() is called on the hot path by every batch worker, so the store is
-// an array of atomic counters — no mutex, no allocation. Buckets are
-// geometric in microseconds: one octave per power of two, refined into 8
-// linear sub-buckets (the three bits below the leading one), which bounds
-// the relative quantile error at ~12.5%. Percentiles are read by walking
-// the cumulative counts and reporting the bucket's upper bound, so reported
-// p50/p95/p99 never understate the true quantile.
+// Record() is called on the hot path by every thread that runs a batch, so
+// the store is an array of atomic counters — no mutex, no allocation.
+// Buckets are geometric in microseconds: one octave per power of two,
+// refined into 8 linear sub-buckets (the three bits below the leading one),
+// which bounds the relative quantile error at ~12.5%. Percentiles are read
+// by walking the cumulative counts and reporting the bucket's upper bound,
+// so reported p50/p95/p99 never understate the true quantile.
 //
 // Snapshot() is safe to call concurrently with Record(); it reads each
 // counter once (relaxed), so a snapshot taken mid-burst is a consistent
@@ -68,7 +68,7 @@ class LatencyStats {
   /// straddles the sweep may survive partially (count without its bucket,
   /// or vice versa), which keeps a mid-burst reset a consistent-enough
   /// approximation rather than a torn read or UB. Used by benches between
-  /// phases, where router workers are not fully quiesced.
+  /// phases, where batches may still be running.
   void Reset();
 
   /// Relaxed per-bucket snapshot of the raw counters, for exposition

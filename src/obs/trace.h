@@ -6,9 +6,10 @@
 // — each mark an offset in microseconds from the trace's start (the moment
 // the wire layer finished parsing the request). Marks are plain doubles,
 // not atomics: every stamp site is ordered by the synchronization the
-// query already rides (the batcher mutex between enqueue and batch-form,
-// the promise/future handoff between gemm and respond), so there is no
-// concurrent access to a mark.
+// query already rides (the batcher mutex between enqueue and batch-form;
+// between gemm and respond, the query's `done` flag, which the thread that
+// ran its batch release-stores under that mutex and the thread that answers
+// reads before responding), so there is no concurrent access to a mark.
 //
 // Sampling is decided once, at the wire layer, by TraceRecorder::MaybeStart.
 // The disarmed fast path (sample_every == 0, or this request not selected)

@@ -46,6 +46,7 @@
 
 #include "graph/graph.h"
 #include "linalg/matrix.h"
+#include "propagation/transition.h"
 #include "sparse/csr_matrix.h"
 
 namespace gcon {
@@ -132,7 +133,8 @@ class PropagationCache {
   };
 
   /// Memoized BuildTransition(graph, p).
-  CachedCsr Transition(const Graph& graph, double p = 0.5);
+  CachedCsr Transition(const Graph& graph,
+                       double p = kStandardTransitionClip);
 
   /// Memoized graph.AdjacencyCsr() (GAP/ProGAP aggregation matrix).
   CachedCsr Adjacency(const Graph& graph);

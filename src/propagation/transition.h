@@ -10,14 +10,32 @@
 #ifndef GCON_PROPAGATION_TRANSITION_H_
 #define GCON_PROPAGATION_TRANSITION_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/graph.h"
 #include "sparse/csr_matrix.h"
 
 namespace gcon {
 
+/// The Lemma 1 clip of the standard normalization.
+inline constexpr double kStandardTransitionClip = 0.5;
+
 /// Builds the row-stochastic transition matrix Ã. `p` is the Lemma 1
-/// off-diagonal clip (default 1/2 = standard normalization).
-CsrMatrix BuildTransition(const Graph& graph, double p = 0.5);
+/// off-diagonal clip. Every row comes from AppendTransitionRow.
+CsrMatrix BuildTransition(const Graph& graph,
+                          double p = kStandardTransitionClip);
+
+/// Appends row `self` of Ã to (col_idx, values) in column order: each of
+/// the k `neighbors` gets min(1/(k+1), p), and the diagonal, at its sorted
+/// position, gets 1 minus that value subtracted k times (repeated
+/// subtraction, not 1 - k*off: the bits differ). `neighbors` must be sorted
+/// ascending and distinct and must not contain `self`. This is the one
+/// definition of a transition entry; serving rebuilds private-edge and
+/// inductive rows with it.
+void AppendTransitionRow(int self, const std::vector<int>& neighbors,
+                         double p, std::vector<std::int32_t>* col_idx,
+                         std::vector<double>* values);
 
 }  // namespace gcon
 

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "linalg/ops.h"
 #include "propagation/cache.h"
+#include "propagation/transition.h"
 
 namespace gcon {
 
@@ -121,12 +122,9 @@ void InferenceSession::InitArtifact(GconArtifact artifact,
   // encoded row is bitwise identical to the offline pipeline's. The
   // transition comes through the same cache Infer uses — a serving process
   // that also ran offline inference on this graph reuses the build.
-  encoded_ = artifact_->encoder.HiddenRepresentation(
-      graph_->feature_csr(), artifact_->encoder.num_layers() - 1);
-  RowL2NormalizeInPlace(&encoded_);
+  encoded_ = EncodeForInference(artifact_->encoder, graph_->feature_csr());
   transition_ = PropagationCache::Global().Transition(*graph_).csr;
-  alpha_inf_ = artifact_->alpha_inference >= 0.0 ? artifact_->alpha_inference
-                                                : artifact_->alpha;
+  alpha_inf_ = InferenceAlpha(artifact_->alpha, artifact_->alpha_inference);
   if (artifact_->theta.rows() != artifact_->steps.size() * encoded_.cols()) {
     BadSession("theta has " + std::to_string(artifact_->theta.rows()) +
                " rows, want steps x encoder width = " +
@@ -217,109 +215,54 @@ void InferenceSession::ValidateRequest(const ServeRequest& request) const {
   }
 }
 
-void InferenceSession::RebuiltHopRow(int self_col, const double* self_row,
-                                     const std::vector<int>& neighbors,
-                                     double* out) const {
-  const std::size_t d = encoded_.cols();
-  // Transition row values exactly as BuildTransition writes them: every
-  // off-diagonal entry min(1/(k+1), 1/2), and the diagonal accumulated by
-  // the same repeated subtraction (floating point is not associative; the
-  // replay must subtract k times, not compute 1 - k*off).
-  const double k = static_cast<double>(neighbors.size());
-  const double off = std::min(1.0 / (k + 1.0), 0.5);
-  double diag = 1.0;
-  for (std::size_t i = 0; i < neighbors.size(); ++i) diag -= off;
-
-  // Accumulate in CSR order — columns ascending with the diagonal merged at
-  // its sorted position — mirroring SpmmAxpby's per-row loop. An inductive
-  // query's virtual node sits at column n, past every neighbor, so its
-  // diagonal lands last, exactly where BuildTransition on the augmented
-  // graph puts it.
-  std::vector<double> sum(d, 0.0);
-  auto accumulate = [&](const double* zrow, double value) {
-    for (std::size_t j = 0; j < d; ++j) sum[j] += value * zrow[j];
-  };
-  bool diag_done = false;
-  for (int neighbor : neighbors) {
-    if (!diag_done && self_col < neighbor) {
-      accumulate(self_row, diag);
-      diag_done = true;
-    }
-    accumulate(encoded_.RowPtr(static_cast<std::size_t>(neighbor)), off);
-  }
-  if (!diag_done) accumulate(self_row, diag);
-
-  // out = (1 - alpha_I) * (Ã_v · X̄) + alpha_I * X̄_v, the SpmmAxpby tail.
-  const double a = 1.0 - alpha_inf_;
-  const double b = alpha_inf_;
-  for (std::size_t j = 0; j < d; ++j) {
-    out[j] = a * sum[j] + b * self_row[j];
-  }
-}
-
-void InferenceSession::CachedHopRow(int node, double* out) const {
-  // Replays SpmmAxpby row `node` verbatim over the cached transition: same
-  // entries, same column-ascending order, same a·sum + b·x tail.
-  const std::size_t d = encoded_.cols();
-  const CsrMatrix& t = *transition_;
-  const std::vector<std::int64_t>& row_ptr = t.row_ptr();
-  const std::vector<std::int32_t>& col_idx = t.col_idx();
-  const std::vector<double>& values = t.values();
-  std::vector<double> sum(d, 0.0);
-  for (std::int64_t k = row_ptr[static_cast<std::size_t>(node)];
-       k < row_ptr[static_cast<std::size_t>(node) + 1]; ++k) {
-    const double value = values[static_cast<std::size_t>(k)];
-    const double* zrow = encoded_.RowPtr(
-        static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]));
-    for (std::size_t j = 0; j < d; ++j) sum[j] += value * zrow[j];
-  }
-  const double a = 1.0 - alpha_inf_;
-  const double b = alpha_inf_;
-  const double* xrow = encoded_.RowPtr(static_cast<std::size_t>(node));
-  for (std::size_t j = 0; j < d; ++j) {
-    out[j] = a * sum[j] + b * xrow[j];
-  }
-}
-
 void InferenceSession::FillFeatureRow(const ServeRequest& request,
                                       const double* encoded_query_row,
                                       double* row) const {
   const std::size_t d = encoded_.cols();
   const int n = graph_->num_nodes();
-  // The query node's own encoded row: a graph row, or the freshly encoded
-  // feature-carrying query (virtual node index n).
-  const int self_col = request.has_features ? n : request.node;
+  // The query node's own column and encoded row: a graph node, or the
+  // feature-carrying query as the virtual node n, after every real node.
+  const int self = request.has_features ? n : request.node;
   const double* self_row =
-      request.has_features
-          ? encoded_query_row
-          : encoded_.RowPtr(static_cast<std::size_t>(request.node));
-
-  std::vector<double> hop;
-  bool have_hop = false;
-  auto ensure_hop = [&] {
-    if (have_hop) return;
-    hop.resize(d);
-    if (!request.has_features && !request.has_edges) {
-      CachedHopRow(request.node, hop.data());
-    } else {
-      const std::vector<int> neighbors =
-          SanitizeEdges(request.edges, self_col, n);
-      RebuiltHopRow(self_col, self_row, neighbors, hop.data());
-    }
-    have_hop = true;
+      request.has_features ? encoded_query_row
+                           : encoded_.RowPtr(static_cast<std::size_t>(self));
+  const auto encoded_row = [&](std::int32_t col) {
+    return col == n ? self_row : encoded_.RowPtr(static_cast<std::size_t>(col));
   };
-
-  // The offline loop computes the one-hop block once and reuses it for
-  // every step m > 0 (Eq. (16) reads only the query node's own edges no
-  // matter how deep training propagated); replay that here.
+  // Eq. (16) reads only the query node's own edges however deep training
+  // propagated, so every step m > 0 repeats the first hop block, which
+  // SpmmAxpbyRow writes in place: Infer's SpmmAxpby row for this node.
+  const double* hop = nullptr;
   for (std::size_t s = 0; s < artifact_->steps.size(); ++s) {
     double* block = row + s * d;
     if (artifact_->steps[s] == 0) {
       std::copy(self_row, self_row + d, block);
       continue;
     }
-    ensure_hop();
-    std::copy(hop.begin(), hop.end(), block);
+    if (hop != nullptr) {
+      std::copy(hop, hop + d, block);
+      continue;
+    }
+    if (!request.has_features && !request.has_edges) {
+      // The default adjacency: the cached transition row, read verbatim.
+      const std::size_t k0 = static_cast<std::size_t>(
+          transition_->row_ptr()[static_cast<std::size_t>(self)]);
+      SpmmAxpbyRow(transition_->col_idx().data() + k0,
+                   transition_->values().data() + k0,
+                   transition_->RowNnz(static_cast<std::size_t>(self)),
+                   encoded_row, 1.0 - alpha_inf_, self_row, alpha_inf_, d,
+                   block);
+    } else {
+      // A private edge list or an inductive query: the row BuildTransition
+      // would write for this node on the graph the query implies.
+      std::vector<std::int32_t> cols;
+      std::vector<double> values;
+      AppendTransitionRow(self, SanitizeEdges(request.edges, self, n),
+                          kStandardTransitionClip, &cols, &values);
+      SpmmAxpbyRow(cols.data(), values.data(), cols.size(), encoded_row,
+                   1.0 - alpha_inf_, self_row, alpha_inf_, d, block);
+    }
+    hop = block;
   }
 }
 
@@ -343,9 +286,7 @@ Matrix InferenceSession::QueryBatch(
   const CsrMatrix queries = InductiveRows(
       batch, static_cast<std::size_t>(graph_->feature_dim()));
   if (queries.rows() > 0) {
-    encoded_queries = artifact_->encoder.HiddenRepresentation(
-        queries, artifact_->encoder.num_layers() - 1);
-    RowL2NormalizeInPlace(&encoded_queries);
+    encoded_queries = EncodeForInference(artifact_->encoder, queries);
   }
   // One coalesced feature block, one GEMM — the micro-batcher's payoff. A
   // GEMM row's bit pattern does not depend on the other rows (zero-padded

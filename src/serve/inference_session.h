@@ -21,7 +21,7 @@
 // answers as if the graph had been augmented with that node offline. The
 // query row is encoded through the artifact's MLP (row-wise, so one row's
 // bits match its row in any batched forward), normalized, and propagated
-// with the same Eq. (16) replay — the virtual node sits at index n, after
+// with the same Eq. (16) hop — the virtual node sits at index n, after
 // every real node, so its transition row is fully determined by the query.
 // Decoupled DP-GNNs can serve this without re-aggregation; per-hop
 // architectures (GAP) cannot.
@@ -29,18 +29,18 @@
 // Bitwise contract: every query path below reproduces the offline result
 // exactly — QueryBatch row i equals row node_i of GconArtifact::Infer, and
 // a feature-carrying answer equals row n of Infer on the graph augmented
-// with the query node — by replicating the offline kernels' accumulation
-// order:
-//   * the encoded matrix is the same full-graph call, made once; a
-//     batch's query rows enter the same layers as one canonical CSR block
-//     (FromDense's nonzero rule, the form of Graph::feature_csr()), and
-//     the encoder's CSR and dense products give the same bits for a row
-//     whatever the batch's other rows hold;
-//   * the per-node hop replays CsrMatrix::SpmmAxpby's per-row arithmetic
-//     (column-ascending accumulate, then a·sum + b·x): default-adjacency
-//     queries read the cached transition row verbatim, private-edge and
-//     inductive queries rebuild the row with BuildTransition's exact
-//     per-entry values;
+// with the query node — because it runs the offline code, not a copy of it:
+//   * encoding is EncodeForInference (core/gcon.h), as in Infer: once over
+//     the graph at load, and over each batch's query rows as one canonical
+//     CSR block (FromDense's nonzero rule, the form of
+//     Graph::feature_csr()); the encoder's CSR and dense products give the
+//     same bits for a row whatever the batch's other rows hold;
+//   * the hop row is SpmmAxpbyRow (sparse/csr_matrix.h), the per-row body
+//     of the SpmmAxpby that Infer's PrivateLogits runs, over the cached
+//     transition row for default-adjacency queries, and over the row
+//     AppendTransitionRow (propagation/transition.h) builds for
+//     private-edge and inductive queries — the rule BuildTransition runs
+//     for every node; α_I is the same InferenceAlpha;
 //   * the final GEMM's per-row results are invariant to the batch's row
 //     count (fringe tiles are zero-padded into the same micro-kernel), so
 //     one coalesced product over B rows matches the n-row offline product.
@@ -205,20 +205,6 @@ class InferenceSession {
   /// queries).
   void FillFeatureRow(const ServeRequest& request,
                       const double* encoded_query_row, double* row) const;
-
-  /// The Eq. (16) one-hop row for a node whose transition row must be
-  /// rebuilt (private edge list or inductive query): `self_col` is the
-  /// node's column index for the diagonal's sorted position, `self_row`
-  /// its encoded row (a row of encoded_, or the freshly encoded query).
-  /// `neighbors` must be sorted ascending, deduplicated, in [0, n), and
-  /// exclude self_col — BuildTransition's exact per-entry values are
-  /// replayed over them.
-  void RebuiltHopRow(int self_col, const double* self_row,
-                     const std::vector<int>& neighbors, double* out) const;
-
-  /// The Eq. (16) one-hop row for in-graph node `node` under the default
-  /// adjacency: replays SpmmAxpby row `node` over the cached transition.
-  void CachedHopRow(int node, double* out) const;
 
   bool per_query_ = false;
   /// The serving population — immutable and shareable across the sessions

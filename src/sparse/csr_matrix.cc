@@ -179,21 +179,13 @@ void CsrMatrix::SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
   if (out->rows() != rows_ || out->cols() != d) {
     out->Resize(rows_, d);
   }
+  const auto z_row = [&z](std::int32_t col) {
+    return z.RowPtr(static_cast<std::size_t>(col));
+  };
   ForEachRowChunk(rows_, nnz() * d, [&](std::size_t i) {
-    double* orow = out->RowPtr(i);
-    for (std::size_t j = 0; j < d; ++j) orow[j] = 0.0;
-    for (std::int64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      const double v = values_[static_cast<std::size_t>(k)];
-      const double* zrow = z.RowPtr(
-          static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)]));
-      for (std::size_t j = 0; j < d; ++j) {
-        orow[j] += v * zrow[j];
-      }
-    }
-    const double* xrow = x.RowPtr(i);
-    for (std::size_t j = 0; j < d; ++j) {
-      orow[j] = a * orow[j] + b * xrow[j];
-    }
+    const std::size_t k0 = static_cast<std::size_t>(row_ptr_[i]);
+    SpmmAxpbyRow(col_idx_.data() + k0, values_.data() + k0, RowNnz(i), z_row,
+                 a, x.RowPtr(i), b, d, out->RowPtr(i));
   });
 }
 

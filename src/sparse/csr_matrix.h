@@ -3,8 +3,9 @@
 // Used for the message-passing matrix Ã = D⁻¹(A + I), the perturbed
 // adjacency matrices of the DP baselines, and the node-feature matrix X
 // (a Graph's feature store and the encoder's sparse input).
-// Construction goes through CooBuilder (which sorts and merges duplicates)
-// or FromDense; both produce canonical CSR (row-major, column indices
+// Construction goes through CooBuilder (which sorts and merges duplicates),
+// FromDense, or arrays a builder already emits in canonical order
+// (BuildTransition); all give canonical CSR (row-major, column indices
 // strictly increasing within a row).
 #ifndef GCON_SPARSE_CSR_MATRIX_H_
 #define GCON_SPARSE_CSR_MATRIX_H_
@@ -80,8 +81,9 @@ class CsrMatrix {
   /// Multiply + ScaleInPlace + AxpyInPlace (which allocates a fresh matrix
   /// and streams it three times). Per-element arithmetic matches the
   /// three-op sequence bit-for-bit: a * sum + b * x with the same
-  /// accumulation order. `out` is resized to rows() x z.cols(); it must not
-  /// alias `z` or `x` (the output row doubles as the accumulator).
+  /// accumulation order. Every row runs SpmmAxpbyRow below. `out` is
+  /// resized to rows() x z.cols(); it must not alias `z` or `x` (the output
+  /// row doubles as the accumulator).
   void SpmmAxpby(double a, const Matrix& z, double b, const Matrix& x,
                  Matrix* out) const;
 
@@ -109,6 +111,26 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
+/// One output row of SpmmAxpby:
+///   out = a * sum_k values[k] * row(cols[k]) + b * x,
+/// with the sum accumulated in `out` itself, from +0, in entry order (CSR
+/// order for a canonical row). `row(col)` returns the length-d row of the
+/// right-hand operand for column `col`; `x` and every such row have length d
+/// and must not alias `out`. Serving calls this for one row at a time, so
+/// its answers carry SpmmAxpby's exact bits.
+template <typename RowSource>
+void SpmmAxpbyRow(const std::int32_t* cols, const double* values,
+                  std::size_t count, const RowSource& row, double a,
+                  const double* x, double b, std::size_t d, double* out) {
+  for (std::size_t j = 0; j < d; ++j) out[j] = 0.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double v = values[k];
+    const double* zrow = row(cols[k]);
+    for (std::size_t j = 0; j < d; ++j) out[j] += v * zrow[j];
+  }
+  for (std::size_t j = 0; j < d; ++j) out[j] = a * out[j] + b * x[j];
+}
+
 /// Accumulates (i, j, value) triplets and builds canonical CSR. Duplicate
 /// coordinates are summed.
 class CooBuilder {
@@ -119,7 +141,7 @@ class CooBuilder {
   std::size_t entry_count() const { return entries_.size(); }
 
   /// Pre-allocates room for `n` triplets. Call before a bulk Add loop whose
-  /// size is known (transition/adjacency builds: 2|E| + n) to avoid
+  /// size is known (adjacency builds: 2|E| + n) to avoid
   /// entry-by-entry vector growth.
   void Reserve(std::size_t n);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/gcon.h"
+#include "core/model_io.h"
 #include "eval/metrics.h"
 #include "graph/datasets.h"
 #include "linalg/ops.h"
@@ -268,7 +269,7 @@ TEST(Inference, OnSeparateGraphRuns) {
   // A freshly generated graph from the same distribution (scenario ii).
   Rng rng(99);
   const Graph other = GenerateDataset(TinySpec(), &rng);
-  const Matrix logits = PrivateInferenceOnGraph(prepared, model, other);
+  const Matrix logits = MakeArtifact(prepared, model, 2.0, 1e-4).Infer(other);
   EXPECT_EQ(logits.rows(), static_cast<std::size_t>(other.num_nodes()));
   EXPECT_EQ(logits.cols(), static_cast<std::size_t>(other.num_classes()));
   const double f1 = MicroF1FromLogits(logits, other.labels(),
@@ -303,7 +304,7 @@ TEST(Inference, PublicOnGraphUsesFullReceptiveField) {
   Rng rng(123);
   const Graph other = GenerateDataset(TinySpec(), &rng);
   const Matrix pub = PublicInferenceOnGraph(prepared, model, other);
-  const Matrix priv = PrivateInferenceOnGraph(prepared, model, other);
+  const Matrix priv = MakeArtifact(prepared, model, 2.0, 1e-4).Infer(other);
   EXPECT_EQ(pub.rows(), priv.rows());
   EXPECT_GT(FrobeniusNorm(Sub(pub, priv)), 1e-9);
 }

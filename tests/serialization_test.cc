@@ -17,6 +17,11 @@
 namespace gcon {
 namespace {
 
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(MlpIo, RoundTripPreservesWeightsAndPredictions) {
   MlpOptions options;
   options.dims = {5, 7, 3};
@@ -30,8 +35,8 @@ TEST(MlpIo, RoundTripPreservesWeightsAndPredictions) {
 
   EXPECT_EQ(loaded.num_layers(), original.num_layers());
   for (int l = 0; l < original.num_layers(); ++l) {
-    EXPECT_TRUE(loaded.weight(l).AllClose(original.weight(l), 1e-15));
-    EXPECT_TRUE(loaded.bias(l).AllClose(original.bias(l), 1e-15));
+    EXPECT_TRUE(SameBits(loaded.weight(l), original.weight(l)));
+    EXPECT_TRUE(SameBits(loaded.bias(l), original.bias(l)));
   }
   Rng rng(4);
   Matrix x(6, 5);
@@ -82,11 +87,18 @@ Trained TrainSmall() {
 }
 
 TEST(ModelIo, ArtifactInferMatchesPipelineInference) {
-  const Trained t = TrainSmall();
-  const GconArtifact artifact = MakeArtifact(t.prepared, t.model, 2.0, 1e-4);
-  const Matrix direct = PrivateInference(t.prepared, t.model);
-  const Matrix via_artifact = artifact.Infer(t.graph);
-  EXPECT_TRUE(via_artifact.AllClose(direct, 1e-9));
+  Trained t = TrainSmall();
+  // alpha_inference only enters Eq. (16), so one trained model covers both
+  // the default (alpha) and an override.
+  for (const double alpha_inference : {-1.0, 0.3}) {
+    t.prepared.config.alpha_inference = alpha_inference;
+    const GconArtifact artifact =
+        MakeArtifact(t.prepared, t.model, 2.0, 1e-4);
+    const Matrix direct = PrivateInference(t.prepared, t.model);
+    const Matrix via_artifact = artifact.Infer(t.graph);
+    EXPECT_TRUE(SameBits(via_artifact, direct))
+        << "alpha_inference " << alpha_inference;
+  }
 }
 
 TEST(ModelIo, SaveLoadRoundTrip) {
@@ -97,7 +109,7 @@ TEST(ModelIo, SaveLoadRoundTrip) {
   const GconArtifact loaded = LoadModel(path);
   std::remove(path.c_str());
 
-  EXPECT_TRUE(loaded.theta.AllClose(artifact.theta, 1e-12));
+  EXPECT_TRUE(SameBits(loaded.theta, artifact.theta));
   EXPECT_EQ(loaded.steps, artifact.steps);
   EXPECT_DOUBLE_EQ(loaded.alpha, artifact.alpha);
   EXPECT_DOUBLE_EQ(loaded.epsilon, 2.0);
@@ -106,7 +118,7 @@ TEST(ModelIo, SaveLoadRoundTrip) {
 
   const Matrix before = artifact.Infer(t.graph);
   const Matrix after = loaded.Infer(t.graph);
-  EXPECT_TRUE(after.AllClose(before, 1e-9));
+  EXPECT_TRUE(SameBits(after, before));
 }
 
 TEST(ModelIo, LoadedModelServesNewGraph) {

@@ -124,6 +124,75 @@ TEST(InferenceSession, ExplicitEdgeListMatchesGraphAdjacency) {
   EXPECT_NE(session.QueryLogits(plain), session.QueryLogits(pruned));
 }
 
+TEST(InferenceSession, AlphaInferenceOverrideMatchesOfflineInferBitwise) {
+  const Graph graph = TestGraph();
+  GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 45);
+  artifact.alpha_inference = 0.3;  // alpha is 0.7
+  const Matrix offline = artifact.Infer(graph);
+  GconArtifact at_alpha = artifact;
+  at_alpha.alpha_inference = -1.0;
+  ASSERT_NE(std::memcmp(at_alpha.Infer(graph).data(), offline.data(),
+                        offline.size() * sizeof(double)),
+            0);
+
+  const InferenceSession session(artifact, graph);
+  std::vector<ServeRequest> requests(
+      static_cast<std::size_t>(graph.num_nodes()));
+  std::vector<const ServeRequest*> batch;
+  for (int v = 0; v < graph.num_nodes(); ++v) {
+    requests[static_cast<std::size_t>(v)].node = v;
+    batch.push_back(&requests[static_cast<std::size_t>(v)]);
+  }
+  const Matrix served = session.QueryBatch(batch);
+  ASSERT_EQ(served.size(), offline.size());
+  EXPECT_EQ(std::memcmp(served.data(), offline.data(),
+                        served.size() * sizeof(double)),
+            0);
+
+  ServeRequest inductive;
+  inductive.has_features = true;
+  Rng rng(47);
+  for (int j = 0; j < graph.feature_dim(); ++j) {
+    inductive.features.push_back(rng.Uniform(0.0, 1.0));
+  }
+  inductive.has_edges = true;
+  inductive.edges = {9, 1, 4};
+  const Matrix augmented = artifact.Infer(
+      serve_test::AugmentGraph(graph, inductive.features, inductive.edges));
+  EXPECT_TRUE(BitwiseEqualRow(augmented,
+                              static_cast<std::size_t>(graph.num_nodes()),
+                              session.QueryLogits(inductive)));
+}
+
+TEST(InferenceSession, PrivateEdgeListMatchesInferOnRewiredGraph) {
+  const Graph graph = TestGraph();
+  const GconArtifact artifact = SyntheticArtifact(graph, {0, 2}, 8, 49);
+  const InferenceSession session(artifact, graph);
+  int v = 0;
+  for (int u = 0; u < graph.num_nodes(); ++u) {
+    if (graph.Degree(u) > 1) v = u;
+  }
+  // v's private list keeps one graph neighbour and adds three strangers,
+  // unsorted and with a repeat; the rewired copy gives v exactly these
+  // edges.
+  std::vector<int> edges = {graph.Neighbors(v).front()};
+  for (int u = graph.num_nodes() - 1; edges.size() < 4; --u) {
+    if (u != v && !graph.HasEdge(v, u)) edges.push_back(u);
+  }
+  edges.push_back(edges[1]);
+  Graph rewired = graph;
+  for (const int u : graph.Neighbors(v)) rewired.RemoveEdge(v, u);
+  for (const int u : edges) rewired.AddEdge(v, u);
+
+  ServeRequest request;
+  request.node = v;
+  request.has_edges = true;
+  request.edges = edges;
+  EXPECT_TRUE(BitwiseEqualRow(artifact.Infer(rewired),
+                              static_cast<std::size_t>(v),
+                              session.QueryLogits(request)));
+}
+
 TEST(InferenceSession, ValidatesRequests) {
   const Graph graph = TestGraph();
   const GconArtifact artifact = SyntheticArtifact(graph, {2}, 8, 13);
@@ -172,7 +241,6 @@ TEST(ReleasePath, NeverBuildsTheDenseFeatureMatrix) {
     const GconPrepared prepared = PrepareGcon(*graph, split, config);
     const GconArtifact artifact = MakeArtifact(prepared, model, 1.0, 1e-5);
     const Matrix offline = artifact.Infer(*graph);
-    PrivateInferenceOnGraph(prepared, model, *graph);
     PublicInferenceOnGraph(prepared, model, *graph);
 
     std::vector<ModelRouter::NamedModel> models;

@@ -25,8 +25,9 @@
 //   retrain  --graph=in.graph --model=out.model [train flags]
 //            [--port=7070] [--publish-as=default]
 //            The train→publish→serve loop: trains exactly like `train`,
-//            writes the artifact, then publishes it over the live wire to
-//            the `serve` process on --port ({"cmd": "publish"}) so the
+//            writes the artifact, then publishes its absolute path over
+//            the live wire to the `serve` process on --port
+//            ({"cmd": "publish"}) so the
 //            server hot-swaps it in with zero dropped queries. A server
 //            running with --budget-cap may refuse the release
 //            (budget_exhausted): the old bits keep serving and retrain
@@ -88,6 +89,7 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 #include <map>
@@ -502,9 +504,13 @@ int CmdRetrain(const gcon::Flags& flags) {
   const int trained = CmdTrain(flags);  // prints its own diagnostics
   if (trained != 0) return trained;
 
+  // The server opens the path from its own working directory, so send the
+  // one this process wrote.
+  const std::string published =
+      std::filesystem::absolute(model_path).string();
   const std::string request = "{\"cmd\": \"publish\", \"model\": \"" +
                               gcon::EscapeJson(target) + "\", \"path\": \"" +
-                              gcon::EscapeJson(model_path) + "\"}";
+                              gcon::EscapeJson(published) + "\"}";
   std::string response;
   std::string error;
   if (!WireRoundTrip(port, request, &response, &error)) {
